@@ -95,15 +95,7 @@ impl Allocator {
             0 => aggmap.geometry().total_data_drives() as usize,
             n => n,
         };
-        let cache = if cfg.cache_lockfree {
-            Arc::new(BucketCache::with_shards_capped(
-                nshards,
-                cfg.cache_arena_cap,
-                Arc::clone(&stats),
-            ))
-        } else {
-            Arc::new(BucketCache::with_shards_mutex(nshards, Arc::clone(&stats)))
-        };
+        let cache = Arc::new(BucketCache::with_shards(nshards, Arc::clone(&stats)));
         let infra = Infrastructure::new(cfg, aggmap, io, Arc::clone(&stats));
         Arc::new(Self {
             cfg,
@@ -149,8 +141,8 @@ impl Allocator {
     }
 
     /// The live statistics atomics — for reading *gauges* (levels such
-    /// as `arena_chunks_live`), which a [`StatsSnapshot`] deliberately
-    /// omits because they are not monotone counters.
+    /// as `put_commit_outstanding`), which a [`StatsSnapshot`]
+    /// deliberately omits because they are not monotone counters.
     pub fn raw_stats(&self) -> &Arc<AllocStats> {
         &self.stats
     }
@@ -221,11 +213,10 @@ impl Allocator {
     }
 
     /// Batched **GET**: acquire up to `max` buckets with a single cache
-    /// synchronization event (one CAS pop of the home shard's chain, or
-    /// one lock acquisition in the mutex layout) — §IV-C's amortization
-    /// applied to GET itself. Returns at least one bucket, or `None`
-    /// when the aggregate is out of space; a deep cleaner queue holds
-    /// the extras and returns unused ones via
+    /// synchronization event (one lock acquisition of the home shard)
+    /// — §IV-C's amortization applied to GET itself. Returns at least
+    /// one bucket, or `None` when the aggregate is out of space; a deep
+    /// cleaner queue holds the extras and returns unused ones via
     /// [`requeue_bucket`](Self::requeue_bucket).
     pub fn get_bucket_many(&self, cleaner: usize, max: usize) -> Option<Vec<Bucket>> {
         let t0 = std::time::Instant::now();

@@ -46,7 +46,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod allocator;
-pub mod arena;
 pub mod bucket;
 pub mod cache;
 pub mod config;
@@ -56,10 +55,8 @@ pub mod stage;
 pub mod stats;
 pub mod sync;
 pub mod tetris;
-pub mod treiber;
 
 pub use allocator::Allocator;
-pub use arena::{Arena, ArenaFull};
 pub use bucket::Bucket;
 pub use cache::BucketCache;
 pub use config::{AllocConfig, InfraMode, ReinsertPolicy};
@@ -68,4 +65,3 @@ pub use infra::Infrastructure;
 pub use stage::Stage;
 pub use stats::{AllocStats, StatsSnapshot};
 pub use tetris::Tetris;
-pub use treiber::TreiberStack;

@@ -110,7 +110,7 @@ alloc_counters! {
         cache_blocked_gets,
         /// Buckets delivered *beyond the first* by batched `get_many` pops —
         /// each one is a GET whose synchronization was amortized into the
-        /// batch's single CAS/lock acquisition (§IV-C applied to GET).
+        /// batch's single lock acquisition (§IV-C applied to GET).
         cache_get_batched,
         /// High-water mark of the commit queue: the deepest backlog of
         /// submitted-but-unexecuted PUT commits observed. Measures the
@@ -158,37 +158,11 @@ alloc_counters! {
         /// Times the scrubber resumed after pressure fell below the
         /// deactivation threshold.
         scrub_resumes,
-        /// CAS retries paid on the bucket cache's lock-free structures
-        /// (Treiber heads + arena free lists) — the contention meter
-        /// formerly kept per-stack, now arena-wide.
+        /// Always 0. The bucket cache takes per-shard mutexes and has no
+        /// CAS loop to retry; the field stays because external readers
+        /// of [`StatsSnapshot`] (the end-to-end benchmark's layer
+        /// report) still name it.
         cache_cas_retries,
-        /// Arena nodes minted from a never-used slab offset (the
-        /// growth path; bounded by `cache_arena_cap`).
-        arena_fresh_mints,
-        /// Arena allocations satisfied by a recycled node (slot cache
-        /// or chunk free list) — the constant-memory steady state.
-        arena_reuse_hits,
-        /// Arena allocations satisfied by stealing another pin slot's
-        /// cached free node (cross-shard donation: a hot shard reusing
-        /// an idle shard's retirees instead of minting).
-        arena_donations,
-        /// Chunks proven fully free and retired into the epoch limbo
-        /// list (made unreachable; slab freed after the grace period).
-        arena_chunks_retired,
-        /// Retired chunks whose 2-epoch grace elapsed and whose slab
-        /// was returned to the OS (the reclamation that keeps
-        /// long-lived servers flat).
-        arena_chunks_freed,
-        /// Global reclamation-epoch advances (each requires every
-        /// pinned operation to have caught up — EBR quiescence).
-        arena_epoch_advances,
-        /// Inserts that hit `ArenaFull` and fell back to the mutex
-        /// overflow queue instead of aborting — the backpressure that
-        /// replaced the PR-3 exhaustion `assert!`s.
-        arena_full_fallbacks,
-        /// High-water mark of live (slab-holding) arena chunks — the
-        /// boundedness headline the churn soak gates on.
-        arena_chunks_live_peak,
         /// High-water mark of async write I/Os in flight (submitted to
         /// the `blockdev::aio` engine, completion not yet harvested) —
         /// the queue-depth headline of the pipelined CP.
@@ -203,9 +177,6 @@ alloc_counters! {
         /// executed, right now. Not part of the snapshot (it is a level, not
         /// a counter); feeds the `put_commit_queue_len` high-water mark.
         put_commit_outstanding,
-        /// Arena chunks currently holding a live slab, right now (a
-        /// level; its high-water mark is `arena_chunks_live_peak`).
-        arena_chunks_live,
         /// Async write I/Os in flight right now (a level; its
         /// high-water mark is `io_queue_depth_peak`).
         io_inflight,

@@ -1,10 +1,8 @@
 //! Synchronization shim: the single import point for every atomic,
-//! lock, condvar, cell, and spin hint used by the lock-free structures
-//! (`treiber.rs`, `cache.rs`).
+//! lock, and condvar used by the bucket cache (`cache.rs`).
 //!
-//! * Default build: zero-cost re-exports of `std::sync::atomic`,
-//!   `parking_lot`, and a thin `UnsafeCell` wrapper — identical codegen
-//!   to using them directly.
+//! * Default build: zero-cost re-exports of `std::sync::atomic` and
+//!   `parking_lot` — identical codegen to using them directly.
 //! * `--features mc`: the same names resolve to the `mc` crate's
 //!   model-checker shims, turning every operation into a yield point of
 //!   a controlled scheduler (see `crates/mc`). The checker's test suite
@@ -15,76 +13,16 @@
 //! directly) for the model to see its memory accesses.
 
 #[cfg(feature = "mc")]
-pub use mc::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use mc::sync::{Condvar, Mutex, MutexGuard};
 
 #[cfg(not(feature = "mc"))]
-pub use parking_lot::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Atomics: `std::sync::atomic` types or their model-aware doubles.
 pub mod atomic {
     #[cfg(feature = "mc")]
-    pub use mc::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
+    pub use mc::sync::atomic::AtomicUsize;
+    #[cfg(not(feature = "mc"))]
+    pub use std::sync::atomic::AtomicUsize;
     pub use std::sync::atomic::Ordering;
-    #[cfg(not(feature = "mc"))]
-    pub use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
-}
-
-/// Interior mutability with loom-style `with`/`with_mut` accessors, so
-/// the model checker can race-check every shared cell access.
-pub mod cell {
-    #[cfg(feature = "mc")]
-    pub use mc::cell::UnsafeCell;
-
-    /// Zero-cost `UnsafeCell` wrapper exposing the same `with`/`with_mut`
-    /// closure API the `mc` shim uses for race tracking.
-    #[cfg(not(feature = "mc"))]
-    #[derive(Debug)]
-    pub struct UnsafeCell<T>(std::cell::UnsafeCell<T>);
-
-    #[cfg(not(feature = "mc"))]
-    impl<T> UnsafeCell<T> {
-        /// Create a cell holding `t`.
-        pub const fn new(t: T) -> Self {
-            Self(std::cell::UnsafeCell::new(t))
-        }
-
-        /// Shared access via raw pointer (caller upholds aliasing rules).
-        #[inline]
-        pub fn with<R>(&self, f: impl FnOnce(*const T) -> R) -> R {
-            f(self.0.get())
-        }
-
-        /// Exclusive access via raw pointer (caller upholds exclusivity).
-        #[inline]
-        pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
-            f(self.0.get())
-        }
-
-        /// Raw pointer escape hatch.
-        #[inline]
-        pub fn get(&self) -> *mut T {
-            self.0.get()
-        }
-    }
-}
-
-/// Spin/yield hints: real CPU hints normally; scheduler yields under mc.
-pub mod hint {
-    /// Drop-in for `std::hint::spin_loop`.
-    #[inline]
-    pub fn spin_loop() {
-        #[cfg(feature = "mc")]
-        mc::hint::spin_loop();
-        #[cfg(not(feature = "mc"))]
-        std::hint::spin_loop();
-    }
-
-    /// Drop-in for `std::thread::yield_now`.
-    #[inline]
-    pub fn yield_now() {
-        #[cfg(feature = "mc")]
-        mc::thread::yield_now();
-        #[cfg(not(feature = "mc"))]
-        std::thread::yield_now();
-    }
 }

@@ -1,20 +1,20 @@
 //! Sharded bucket-cache stress tests: N cleaner threads hammering M
 //! buckets across shards must never lose or duplicate a bucket — through
-//! the home-shard fast path (a lock-free CAS pop on the default layout),
-//! the work-steal path, batched `get_many` pops, concurrent collective
-//! `insert_all` rounds, and `get_timeout` expiry under scarcity. Every
-//! scenario runs against both layouts: the Treiber-stack hot path and
-//! the mutex+condvar baseline (`with_shards_mutex`).
+//! the home-shard fast path, the work-steal path, batched `get_many`
+//! pops, concurrent collective `insert_all` rounds, and `get_timeout`
+//! expiry under scarcity. The last test drives the whole allocator with
+//! slow cleaners and checks that the refill gate bounds cache memory.
 //!
-//! CI runs this file with `-C debug-assertions=on` so the cache's and
-//! Treiber stack's internal invariant checks (fill accounting, arena
-//! bounds, tag monotonicity) are armed during the hammering.
+//! CI runs this file with `-C debug-assertions=on` so debug-only checks
+//! (e.g. the requeue-only-untouched-buckets assertion) are armed during
+//! the hammering.
 
-use alligator::{AllocConfig, AllocStats, BucketCache, Infrastructure, TreiberStack};
+use alligator::{AllocConfig, AllocStats, Allocator, BucketCache, Infrastructure, PoolExecutor};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
+use waffinity::{Model, Topology, WaffinityPool};
 use wafl_blockdev::{DriveKind, GeometryBuilder, IoEngine};
 use wafl_metafile::AggregateMap;
 
@@ -26,7 +26,6 @@ fn warm_cache(
     data_drives: u32,
     rounds: usize,
     shards: usize,
-    lockfree: bool,
 ) -> (Arc<BucketCache>, Arc<AllocStats>, HashSet<u64>) {
     let geo = Arc::new(
         GeometryBuilder::new()
@@ -37,12 +36,7 @@ fn warm_cache(
     let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
     let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
     let stats = Arc::new(AllocStats::default());
-    let cache = Arc::new(if lockfree {
-        BucketCache::with_shards(shards, Arc::clone(&stats))
-    } else {
-        BucketCache::with_shards_mutex(shards, Arc::clone(&stats))
-    });
-    assert_eq!(cache.is_lock_free(), lockfree);
+    let cache = Arc::new(BucketCache::with_shards(shards, Arc::clone(&stats)));
     let infra = Infrastructure::new(AllocConfig::with_chunk(8), aggmap, io, Arc::clone(&stats));
     for _ in 0..rounds {
         assert_eq!(infra.refill_round(&cache), data_drives as usize);
@@ -62,10 +56,11 @@ fn warm_cache(
 
 /// N threads GET (home fast path + steals), hold, and reinsert; no
 /// bucket may be lost, duplicated, or held by two threads at once.
-fn no_bucket_lost_or_duplicated(lockfree: bool) {
+#[test]
+fn stress_no_bucket_lost_or_duplicated() {
     const THREADS: usize = 12;
     const ITERS: usize = 600;
-    let (cache, stats, ids) = warm_cache(8, 3, 8, lockfree); // 24 buckets, 8 shards
+    let (cache, stats, ids) = warm_cache(8, 3, 8); // 24 buckets, 8 shards
     let population = ids.len();
 
     // Any bucket held by two threads at once trips this set.
@@ -142,26 +137,17 @@ fn no_bucket_lost_or_duplicated(lockfree: bool) {
     assert_eq!(timeouts.load(Ordering::Relaxed), 0);
 }
 
-#[test]
-fn stress_no_bucket_lost_or_duplicated_lockfree() {
-    no_bucket_lost_or_duplicated(true);
-}
-
-#[test]
-fn stress_no_bucket_lost_or_duplicated_mutex() {
-    no_bucket_lost_or_duplicated(false);
-}
-
 /// Getters run batched `get_many` pops while a publisher keeps feeding
 /// retired buckets back through collective `insert_all` rounds — the
-/// §IV-D visibility barrier runs concurrently with lock-free pops, and
-/// nothing may be lost or duplicated across the gate.
-fn concurrent_insert_all_preserves_population(lockfree: bool) {
+/// §IV-D visibility barrier runs concurrently with batched pops, and
+/// nothing may be lost or duplicated across it.
+#[test]
+fn stress_concurrent_insert_all() {
     const GETTERS: usize = 6;
     const DRIVES: u32 = 8;
     const ROUNDS: usize = 2;
     const TARGET_ROUNDS: u64 = 120;
-    let (cache, stats, ids) = warm_cache(DRIVES, ROUNDS, DRIVES as usize, lockfree);
+    let (cache, stats, ids) = warm_cache(DRIVES, ROUNDS, DRIVES as usize);
 
     // Workers retire what they pop here; the publisher re-publishes it
     // in drive-sized collective rounds.
@@ -266,23 +252,14 @@ fn concurrent_insert_all_preserves_population(lockfree: bool) {
     );
 }
 
-#[test]
-fn stress_concurrent_insert_all_lockfree() {
-    concurrent_insert_all_preserves_population(true);
-}
-
-#[test]
-fn stress_concurrent_insert_all_mutex() {
-    concurrent_insert_all_preserves_population(false);
-}
-
 /// Batched pops on a deep single shard: `get_many` must return whole
 /// buckets exactly once each and actually batch (one synchronization
 /// hands out several same-generation buckets).
-fn batched_get_many_conserves(lockfree: bool) {
+#[test]
+fn stress_batched_get_many_conserves() {
     const THREADS: usize = 4;
     const DRIVES: u32 = 8;
-    let (cache, stats, ids) = warm_cache(DRIVES, 1, 1, lockfree); // 8 buckets, one shard
+    let (cache, stats, ids) = warm_cache(DRIVES, 1, 1); // 8 buckets, one shard
     let population = ids.len();
 
     let held: Arc<Mutex<Vec<alligator::Bucket>>> = Arc::new(Mutex::new(Vec::new()));
@@ -321,20 +298,10 @@ fn batched_get_many_conserves(lockfree: bool) {
 }
 
 #[test]
-fn stress_batched_get_many_conserves_lockfree() {
-    batched_get_many_conserves(true);
-}
-
-#[test]
-fn stress_batched_get_many_conserves_mutex() {
-    batched_get_many_conserves(false);
-}
-
-#[test]
 fn stress_get_timeout_expires_under_scarcity() {
     const THREADS: usize = 6;
     const ITERS: usize = 40;
-    let (cache, stats, ids) = warm_cache(2, 1, 2, true); // 2 buckets, 6 threads
+    let (cache, stats, ids) = warm_cache(2, 1, 2); // 2 buckets, 6 threads
 
     // An empty-adjacent cache still answers a bounded-time GET miss.
     let successes = Arc::new(AtomicU64::new(0));
@@ -392,60 +359,116 @@ fn stress_get_timeout_expires_under_scarcity() {
     );
 }
 
-/// ABA regression on the raw Treiber stack: threads race pop/push-back
-/// cycles designed to recycle nodes under each other's CAS windows (pop
-/// A, pop B, push A back — the classic ABA shape). The tagged head and
-/// per-pop tag bump must keep the element multiset intact; under
-/// `debug-assertions` the arena's internal checks are armed too.
+/// Cache memory is bounded by the refill gate alone: a GET requests a
+/// refill round only when the cache has dropped below `low_watermark`,
+/// and at most one round is in flight. Slow cleaners take batches,
+/// hold them, and requeue the unused tails while refills run on a real
+/// Waffinity pool. Counting requeued tails as cache content, nothing
+/// else adds buckets, so the cache can never hold more than
+/// `low_watermark` + one round (a bucket per data drive) + every
+/// cleaner's tail. Requesting a refill on every GET instead grows the
+/// cache by a round per GET and trips the bound.
 #[test]
-fn stress_treiber_aba_regression() {
-    const THREADS: usize = 8;
-    const ITERS: usize = 2_000;
-    const POPULATION: u64 = 16;
-    let stack = Arc::new(TreiberStack::new());
-    for v in 0..POPULATION {
-        stack.push(v);
-    }
-    let barrier = Arc::new(Barrier::new(THREADS));
-    let handles: Vec<_> = (0..THREADS)
+fn stress_cache_len_bounded_under_slow_cleaners() {
+    const CLEANERS: usize = 4;
+    const DATA_DRIVES: u32 = 4;
+    const BATCH: usize = 2;
+    const ITERS: usize = 40;
+    let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 4, 4));
+    let pool = Arc::new(WaffinityPool::new(Arc::clone(&topo), 2));
+    let geo = Arc::new(
+        GeometryBuilder::new()
+            .aa_stripes(64)
+            .raid_group(DATA_DRIVES, 1, 65_536)
+            .build(),
+    );
+    let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
+    let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+    // Two drives per shard, so a round leaves two same-generation
+    // buckets in each shard and BATCH-sized GETs really batch.
+    let cfg = AllocConfig {
+        cache_shards: 2,
+        ..AllocConfig::with_chunk(8)
+    };
+    let alloc = Allocator::new(
+        cfg,
+        aggmap,
+        io,
+        Arc::new(PoolExecutor::new(Arc::clone(&pool))),
+        topo,
+        0,
+    );
+    let bound = cfg.low_watermark + DATA_DRIVES as usize + CLEANERS * (BATCH - 1);
+
+    let peak = Arc::new(AtomicUsize::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let sampler = {
+        let alloc = Arc::clone(&alloc);
+        let peak = Arc::clone(&peak);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            // ordering: shutdown flag; no data is published through it.
+            while !stop.load(Ordering::Relaxed) {
+                // ordering: test-local high-water mark.
+                peak.fetch_max(alloc.cache().len(), Ordering::Relaxed);
+                std::thread::yield_now();
+            }
+        })
+    };
+    let barrier = Arc::new(Barrier::new(CLEANERS));
+    let cleaners: Vec<_> = (0..CLEANERS)
         .map(|i| {
-            let stack = Arc::clone(&stack);
+            let alloc = Arc::clone(&alloc);
+            let peak = Arc::clone(&peak);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
-                for iter in 0..ITERS {
-                    // Alternate single pops with two-pop/reordered-push
-                    // cycles so a slow thread's stale head snapshot sees
-                    // the same node address reappear with new contents.
-                    if (iter + i) % 3 == 0 {
-                        let a = stack.pop();
-                        let b = stack.pop();
-                        if let Some(a) = a {
-                            stack.push(a);
-                        }
-                        if let Some(b) = b {
-                            stack.push(b);
-                        }
-                    } else {
-                        let got = stack.pop_many(2);
-                        if iter % 2 == 0 {
-                            std::thread::yield_now();
-                        }
-                        stack.push_many(got);
+                for _ in 0..ITERS {
+                    let mut batch = alloc
+                        .get_bucket_many(i, BATCH)
+                        .expect("aggregate has space");
+                    // ordering: test-local high-water mark.
+                    peak.fetch_max(alloc.cache().len(), Ordering::Relaxed);
+                    let mut b = batch.remove(0);
+                    while b.use_vbn(1).is_some() {}
+                    // A slow cleaner: refills land while the tail is held.
+                    std::thread::sleep(Duration::from_millis(1));
+                    for tail in batch {
+                        alloc.requeue_bucket(tail);
                     }
+                    // ordering: test-local high-water mark.
+                    peak.fetch_max(alloc.cache().len(), Ordering::Relaxed);
+                    alloc.put_bucket(b);
                 }
             })
         })
         .collect();
-    for h in handles {
+    for h in cleaners {
         h.join().unwrap();
     }
-    let mut survivors: Vec<u64> = std::iter::from_fn(|| stack.pop()).collect();
-    survivors.sort_unstable();
-    assert_eq!(
-        survivors,
-        (0..POPULATION).collect::<Vec<_>>(),
-        "ABA recycling corrupted the stack"
+    // ordering: shutdown flag; no data is published through it.
+    stop.store(true, Ordering::Relaxed);
+    sampler.join().unwrap();
+    alloc.flush_cache();
+    alloc.infra().aggmap().verify().unwrap();
+
+    let s = alloc.stats();
+    assert!(
+        s.refill_rounds >= 10,
+        "the run must exercise repeated refills ({} rounds)",
+        s.refill_rounds
     );
-    assert!(stack.is_empty());
+    assert!(
+        s.cache_get_batched > 0,
+        "cleaners never took a batch, so no tail was requeued"
+    );
+    // ordering: test readback after every writer joined.
+    let peak = peak.load(Ordering::Relaxed);
+    assert!(
+        peak <= bound,
+        "cache held {peak} buckets, above low_watermark {} + one round {} + tails {}",
+        cfg.low_watermark,
+        DATA_DRIVES,
+        CLEANERS * (BATCH - 1)
+    );
 }

@@ -1,16 +1,18 @@
 //! Perf-trajectory experiment — bucket-cache contention under cleaner
 //! scaling. The single-mutex cache serializes every GET (§IV-C's
 //! amortization argument cuts the *frequency* of synchronization, not
-//! its width); sharding gives cleaner *i* an uncontended home shard; the
-//! lock-free Treiber hot path then removes the mutex from the common
-//! GET entirely (one CAS pop plus the O(1) fullest-shard hint). This
-//! bench sweeps cleaner threads 1→16 over four layouts in a GET-bound
-//! microbenchmark configuration:
+//! its width); sharding gives cleaner *i* an uncontended home shard.
+//! The DES half sweeps cleaner threads 1→16 over three configurations
+//! of a GET-bound microbenchmark:
 //!
-//! - `single_lock`   — one mutex shard, every GET funnels through it;
-//! - `mutex_sharded` — per-drive mutex+condvar shards (the PR-2 layout);
-//! - `lockfree`      — per-drive Treiber shards, `get_many(1)`;
-//! - `lockfree_get8` — per-drive Treiber shards, batched `get_many(8)`.
+//! - `single_lock`        — one shard, every GET funnels through it;
+//! - `mutex_sharded`      — per-drive shards, `get_many(1)`;
+//! - `mutex_sharded_get8` — per-drive shards, batched `get_many(8)`.
+//!
+//! These curves are **model output** (`modeled: true`): the sync cost
+//! per GET and its growth per sharer are hand-set constants, listed
+//! with their provenance in `model_constants`. They show the *shape*
+//! sharding buys under the model, never a measured speedup.
 //!
 //! Outputs:
 //! - `BENCH_cache_contention.json` at the repo root (override the
@@ -19,10 +21,11 @@
 //! - `results/exp_cache_contention.json` via the standard [`emit`] path.
 //!
 //! A second, machine-tagged record (`real_thread`) measures the *real*
-//! `alligator::BucketCache` with OS threads hammering GET/recycle on
-//! both layouts. It is wall-clock and machine-dependent, so it carries
-//! no perf gate and is `null` on single-core machines (the sweep needs
-//! real parallelism to mean anything).
+//! `alligator::BucketCache` with OS threads hammering GET/recycle on a
+//! per-drive sharded cache and on a single shard. It is wall-clock and
+//! machine-dependent, so it carries no perf gate and is `null` on
+//! single-core machines (the sweep needs real parallelism to mean
+//! anything).
 //!
 //! `--validate <path>` re-parses a previously written record and checks
 //! its schema and invariants (exit 1 on violation) so the trajectory
@@ -35,19 +38,14 @@ use wafl_simsrv::{
 };
 
 /// Schema tag for `BENCH_cache_contention.json`.
-const SCHEMA: &str = "wafl.cache_contention.v2";
+const SCHEMA: &str = "wafl.cache_contention.v3";
 
 /// Thread counts swept (the ISSUE's 1→16 range).
 const THREADS: [usize; 6] = [1, 2, 4, 8, 12, 16];
 
-/// Acceptance floor: lock-free GET throughput vs the single lock at
-/// ≥ 8 cleaner threads.
+/// Model acceptance floor: sharded GET throughput vs the single lock
+/// at ≥ 8 cleaner threads.
 const SINGLE_LOCK_FLOOR: f64 = 1.5;
-
-/// The lock-free layout may never lose to the mutex shards at any swept
-/// thread count (small tolerance for integer-truncation noise in the
-/// cost model).
-const MUTEX_FLOOR: f64 = 0.999;
 
 /// Batched `get_many(8)` must stay within 5% of `get_many(1)` — batching
 /// amortizes synchronization and must never tank throughput.
@@ -79,8 +77,9 @@ struct CurvePoint {
 struct Curve {
     /// Shard count of this layout (1 = the forced single-lock baseline).
     shards: u64,
-    /// Treiber-stack (CAS) hot path vs mutex shards.
-    lockfree: bool,
+    /// Always `true`: the curve is DES output under the hand-set
+    /// constants in [`ContentionDoc::model_constants`].
+    modeled: bool,
     /// `get_many` batch bound used by this layout.
     get_batch: u64,
     /// One point per entry of `threads`.
@@ -92,12 +91,26 @@ struct Curve {
 struct RealThreadPoint {
     /// OS threads hammering the cache.
     threads: u64,
-    /// GET/recycle cycles per second, Treiber layout.
-    lockfree_gets_per_sec: f64,
-    /// GET/recycle cycles per second, mutex-shard layout.
-    mutex_gets_per_sec: f64,
-    /// `lockfree / mutex` (informational; machine-dependent, ungated).
+    /// GET/recycle cycles per second, per-drive shards.
+    sharded_gets_per_sec: f64,
+    /// GET/recycle cycles per second, one shard.
+    single_lock_gets_per_sec: f64,
+    /// `sharded / single_lock` (informational; machine-dependent,
+    /// ungated).
     speedup: f64,
+}
+
+/// One hand-set DES constant and where its value came from.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct ModelConstant {
+    /// `CostModel` field name.
+    name: String,
+    /// Value used by the microbenchmark.
+    value: f64,
+    /// Unit of `value`.
+    unit: String,
+    /// Provenance of the value.
+    source: String,
 }
 
 /// Machine-tagged wall-clock record (no perf gate; `null` when the
@@ -122,22 +135,19 @@ struct ContentionDoc {
     quick: bool,
     /// Cleaner thread counts swept.
     threads: Vec<u64>,
-    /// Forced single-lock layout.
+    /// The DES constants behind every curve, with provenance.
+    model_constants: Vec<ModelConstant>,
+    /// Forced single-lock layout (modeled).
     single_lock: Curve,
-    /// Per-drive mutex+condvar shards.
+    /// Per-drive shards, `get_many(1)` (modeled).
     mutex_sharded: Curve,
-    /// Per-drive Treiber shards, `get_many(1)`.
-    lockfree: Curve,
-    /// Per-drive Treiber shards, batched `get_many(8)`.
-    lockfree_get8: Curve,
-    /// `lockfree.gets_per_sec / mutex_sharded.gets_per_sec` per point.
-    speedup_lockfree_vs_mutex: Vec<f64>,
-    /// `lockfree.gets_per_sec / single_lock.gets_per_sec` per point.
-    speedup_lockfree_vs_single_lock: Vec<f64>,
-    /// Minimum lockfree-vs-mutex speedup over the points ≥ 8 threads.
-    min_vs_mutex_at_8_plus_threads: f64,
-    /// Minimum lockfree-vs-single-lock speedup over the points ≥ 8
-    /// threads.
+    /// Per-drive shards, batched `get_many(8)` (modeled).
+    mutex_sharded_get8: Curve,
+    /// `mutex_sharded.gets_per_sec / single_lock.gets_per_sec` per point
+    /// (modeled).
+    speedup_sharded_vs_single_lock: Vec<f64>,
+    /// Minimum sharded-vs-single-lock speedup over the points ≥ 8
+    /// threads (modeled).
     min_vs_single_lock_at_8_plus_threads: f64,
     /// Wall-clock sweep over the real cache, or `null` on single-core
     /// machines.
@@ -149,23 +159,52 @@ struct ContentionDoc {
 enum Layout {
     SingleLock,
     MutexSharded,
-    LockFree,
-    LockFreeGet8,
+    MutexShardedGet8,
 }
 
 impl Layout {
     fn single_shard(self) -> bool {
         self == Layout::SingleLock
     }
-    fn lockfree(self) -> bool {
-        matches!(self, Layout::LockFree | Layout::LockFreeGet8)
-    }
     fn get_batch(self) -> u64 {
         match self {
-            Layout::LockFreeGet8 => 8,
+            Layout::MutexShardedGet8 => 8,
             _ => 1,
         }
     }
+}
+
+/// GET synchronization cost of the microbenchmark, ns per bucket cycle.
+const MICRO_BUCKET_SYNC_NS: u64 = 16_000;
+/// Extra fraction of the sync cost per additional sharer of a shard.
+const MICRO_CONTENTION_FACTOR: f64 = 0.12;
+
+/// The constants that shape the modeled curves, with provenance.
+fn model_constants() -> Vec<ModelConstant> {
+    let defaults = CostModel::default();
+    vec![
+        ModelConstant {
+            name: "cleaner_bucket_sync".into(),
+            value: MICRO_BUCKET_SYNC_NS as f64,
+            unit: "ns".into(),
+            source: format!(
+                "hand-set: 4x the default CostModel's {} ns (itself hand-calibrated \
+                 to the paper's figure shapes, not measured) so GET sync dominates \
+                 the stripped-down cleaner loop",
+                defaults.cleaner_bucket_sync
+            ),
+        },
+        ModelConstant {
+            name: "cleaner_contention_factor".into(),
+            value: MICRO_CONTENTION_FACTOR,
+            unit: "fraction per extra sharer".into(),
+            source: format!(
+                "hand-set: 2x the default CostModel's {} — a GET-saturated loop has no \
+                 cleaning work to absorb the convoy",
+                defaults.cleaner_contention_factor
+            ),
+        },
+    ]
 }
 
 /// GET-bound microbenchmark platform. The full-system configs keep the
@@ -173,12 +212,8 @@ impl Layout {
 /// to measure the *cache*, this config strips everything around it:
 /// tiny per-buffer work, small chunks (frequent GET/PUT), cheap client
 /// and infrastructure paths with wide core headroom, and a deep dirty
-/// backlog so cleaners never idle. The contention factors are raised
-/// (0.12/sharer mutex, 0.04/sharer CAS): in a GET-saturated loop there
-/// is no cleaning work to absorb the convoy, so each extra sharer costs
-/// proportionally more than under the full-path defaults. The CAS:mutex
-/// base-cost ratio (6 µs : 16 µs) matches the default model's
-/// 1.5 µs : 4 µs.
+/// backlog so cleaners never idle. The sync constants are listed with
+/// their provenance in [`model_constants`].
 fn microbench(threads: usize, layout: Layout) -> SimConfig {
     let mut cfg = SimConfig::paper_platform(WorkloadKind::sequential_write());
     configure_duration(&mut cfg);
@@ -189,7 +224,6 @@ fn microbench(threads: usize, layout: Layout) -> SimConfig {
     cfg.chunk = 16;
     cfg.drives = 16;
     cfg.cache_shards = if layout.single_shard() { 1 } else { 0 };
-    cfg.cache_lockfree = layout.lockfree();
     cfg.cache_get_batch = layout.get_batch();
     cfg.stage_capacity = 4096;
     cfg.dirty_limit = 100_000;
@@ -203,10 +237,8 @@ fn microbench(threads: usize, layout: Layout) -> SimConfig {
         reply_latency: 10_000,
         read_media_latency: 250_000,
         cleaner_per_buffer: 200,
-        cleaner_bucket_sync: 16_000,
-        cleaner_contention_factor: 0.12,
-        cleaner_cas_sync: 6_000,
-        cas_contention_factor: 0.04,
+        cleaner_bucket_sync: MICRO_BUCKET_SYNC_NS,
+        cleaner_contention_factor: MICRO_CONTENTION_FACTOR,
         cleaner_msg_overhead: 1_000,
         cleaner_inode_overhead: 0,
         infra_refill_fixed: 500,
@@ -247,7 +279,7 @@ fn sweep(layout: Layout) -> (Curve, Vec<SimResult>) {
         } else {
             microbench(1, layout).drives as u64
         },
-        lockfree: layout.lockfree(),
+        modeled: true,
         get_batch: layout.get_batch(),
         points: Vec::new(),
     };
@@ -271,8 +303,8 @@ fn bench_root() -> std::path::PathBuf {
 
 /// Wall-clock sweep over the real `alligator::BucketCache`: OS threads
 /// GET a bucket from their home shard and immediately recycle it, so
-/// the loop body is exactly the synchronization under test (CAS pop +
-/// keyed push vs mutex lock/unlock). Skipped (→ `None`) when the
+/// the loop body is exactly the synchronization under test (one shard
+/// lock per GET and per insert). Skipped (→ `None`) when the
 /// machine cannot run two threads in parallel — an oversubscribed
 /// single-core sweep measures the scheduler, not the cache.
 mod real_thread {
@@ -313,15 +345,13 @@ mod real_thread {
         )
     }
 
-    /// GET/recycle cycles per second with `threads` workers on one
-    /// layout.
-    fn run_layout(lockfree: bool, threads: usize, window: Duration) -> f64 {
-        let stats = Arc::new(AllocStats::default());
-        let cache = Arc::new(if lockfree {
-            BucketCache::with_shards(NSHARDS, stats)
-        } else {
-            BucketCache::with_shards_mutex(NSHARDS, stats)
-        });
+    /// GET/recycle cycles per second with `threads` workers on a cache
+    /// of `shards` shards.
+    fn run_layout(shards: usize, threads: usize, window: Duration) -> f64 {
+        let cache = Arc::new(BucketCache::with_shards(
+            shards,
+            Arc::new(AllocStats::default()),
+        ));
         cache.insert_all(
             (0..NSHARDS * BUCKETS_PER_SHARD)
                 .map(|i| mk_bucket((i % NSHARDS) as u32, i as u64 * 64)),
@@ -377,13 +407,13 @@ mod real_thread {
         let points = SWEEP
             .iter()
             .map(|&t| {
-                let lf = run_layout(true, t, window);
-                let mx = run_layout(false, t, window);
+                let sharded = run_layout(NSHARDS, t, window);
+                let single = run_layout(1, t, window);
                 RealThreadPoint {
                     threads: t as u64,
-                    lockfree_gets_per_sec: lf,
-                    mutex_gets_per_sec: mx,
-                    speedup: if mx > 0.0 { lf / mx } else { f64::INFINITY },
+                    sharded_gets_per_sec: sharded,
+                    single_lock_gets_per_sec: single,
+                    speedup: sharded / single,
                 }
             })
             .collect();
@@ -431,19 +461,28 @@ fn validate(doc: &ContentionDoc) -> Result<(), String> {
     if !doc.threads.iter().any(|&t| t >= 8) {
         return Err("threads: no point at ≥ 8 (acceptance range uncovered)".into());
     }
+    if doc.model_constants.is_empty()
+        || doc
+            .model_constants
+            .iter()
+            .any(|c| c.source.trim().is_empty() || !c.value.is_finite())
+    {
+        return Err("model_constants: every DES constant needs a value and a source".into());
+    }
     let layouts = [
-        ("single_lock", &doc.single_lock, 1u64, false, 1u64),
-        ("mutex_sharded", &doc.mutex_sharded, 2, false, 1),
-        ("lockfree", &doc.lockfree, 2, true, 1),
-        ("lockfree_get8", &doc.lockfree_get8, 2, true, 8),
+        ("single_lock", &doc.single_lock, 1u64, 1u64),
+        ("mutex_sharded", &doc.mutex_sharded, 2, 1),
+        ("mutex_sharded_get8", &doc.mutex_sharded_get8, 2, 8),
     ];
     let n = doc.threads.len();
-    for (name, curve, min_shards, lockfree, batch) in layouts {
+    for (name, curve, min_shards, batch) in layouts {
         if (min_shards == 1 && curve.shards != 1) || curve.shards < min_shards {
             return Err(format!("{name}.shards = {}", curve.shards));
         }
-        if curve.lockfree != lockfree {
-            return Err(format!("{name}.lockfree = {}", curve.lockfree));
+        if !curve.modeled {
+            return Err(format!(
+                "{name}.modeled = false (DES curves are model output)"
+            ));
         }
         if curve.get_batch != batch {
             return Err(format!("{name}.get_batch = {}", curve.get_batch));
@@ -466,39 +505,20 @@ fn validate(doc: &ContentionDoc) -> Result<(), String> {
             }
         }
     }
-    for (name, v, a, b) in [
-        (
-            "speedup_lockfree_vs_mutex",
-            &doc.speedup_lockfree_vs_mutex,
-            &doc.lockfree,
-            &doc.mutex_sharded,
-        ),
-        (
-            "speedup_lockfree_vs_single_lock",
-            &doc.speedup_lockfree_vs_single_lock,
-            &doc.lockfree,
-            &doc.single_lock,
-        ),
-    ] {
-        if v.len() != n {
-            return Err(format!("{name}: {} entries, {n} threads", v.len()));
-        }
-        for (i, &s) in v.iter().enumerate() {
-            let expect = a.points[i].gets_per_sec / b.points[i].gets_per_sec;
-            if !s.is_finite() || (s - expect).abs() > 1e-6 * expect.abs() {
-                return Err(format!(
-                    "{name}[{i}] = {s} inconsistent with curves ({expect})"
-                ));
-            }
-        }
-    }
-    let (_, min_mutex) = speedups(&doc.lockfree, &doc.mutex_sharded);
-    let (_, min_single) = speedups(&doc.lockfree, &doc.single_lock);
-    if (doc.min_vs_mutex_at_8_plus_threads - min_mutex).abs() > 1e-6 * min_mutex.abs() {
+    let v = &doc.speedup_sharded_vs_single_lock;
+    if v.len() != n {
         return Err(format!(
-            "min_vs_mutex_at_8_plus_threads = {} but curves give {min_mutex}",
-            doc.min_vs_mutex_at_8_plus_threads
+            "speedup_sharded_vs_single_lock: {} entries, {n} threads",
+            v.len()
         ));
+    }
+    let (expected, min_single) = speedups(&doc.mutex_sharded, &doc.single_lock);
+    for (i, (&s, &expect)) in v.iter().zip(&expected).enumerate() {
+        if !s.is_finite() || (s - expect).abs() > 1e-6 * expect.abs() {
+            return Err(format!(
+                "speedup_sharded_vs_single_lock[{i}] = {s} inconsistent with curves ({expect})"
+            ));
+        }
     }
     if (doc.min_vs_single_lock_at_8_plus_threads - min_single).abs() > 1e-6 * min_single.abs() {
         return Err(format!(
@@ -514,30 +534,16 @@ fn validate(doc: &ContentionDoc) -> Result<(), String> {
             return Err("real_thread: empty sweep".into());
         }
         for (i, p) in rt.points.iter().enumerate() {
-            if !p.lockfree_gets_per_sec.is_finite()
-                || p.lockfree_gets_per_sec <= 0.0
-                || !p.mutex_gets_per_sec.is_finite()
-                || p.mutex_gets_per_sec <= 0.0
+            if !p.sharded_gets_per_sec.is_finite()
+                || p.sharded_gets_per_sec <= 0.0
+                || !p.single_lock_gets_per_sec.is_finite()
+                || p.single_lock_gets_per_sec <= 0.0
             {
                 return Err(format!("real_thread[{i}]: non-positive rate"));
             }
         }
     }
     if !doc.quick {
-        for (i, &s) in doc.speedup_lockfree_vs_mutex.iter().enumerate() {
-            if s < MUTEX_FLOOR {
-                return Err(format!(
-                    "lockfree loses to mutex shards at {} threads: {s:.3}x < {MUTEX_FLOOR}x",
-                    doc.threads[i]
-                ));
-            }
-            if doc.threads[i] >= 8 && s <= 1.0 {
-                return Err(format!(
-                    "lockfree not strictly faster at {} threads: {s:.3}x",
-                    doc.threads[i]
-                ));
-            }
-        }
         if min_single < SINGLE_LOCK_FLOOR {
             return Err(format!(
                 "speedup floor: min {min_single:.3}x vs single lock at ≥ 8 threads \
@@ -545,10 +551,10 @@ fn validate(doc: &ContentionDoc) -> Result<(), String> {
             ));
         }
         for (i, (p8, p1)) in doc
-            .lockfree_get8
+            .mutex_sharded_get8
             .points
             .iter()
-            .zip(&doc.lockfree.points)
+            .zip(&doc.mutex_sharded.points)
             .enumerate()
         {
             if p8.gets_per_sec < GET8_SANITY * p1.gets_per_sec {
@@ -582,10 +588,9 @@ fn run_validate(path: &str) -> ! {
         std::process::exit(1);
     }
     println!(
-        "{path}: valid {SCHEMA} ({} points, min speedup at 8+ threads: \
-         {:.2}x vs mutex, {:.2}x vs single lock, real_thread: {})",
+        "{path}: valid {SCHEMA} ({} points, modeled min sharded speedup at 8+ \
+         threads: {:.2}x vs single lock, real_thread: {})",
         doc.threads.len(),
-        doc.min_vs_mutex_at_8_plus_threads,
         doc.min_vs_single_lock_at_8_plus_threads,
         match &doc.real_thread {
             Some(rt) => format!("{} cpus", rt.cpus),
@@ -610,51 +615,38 @@ fn main() {
     let quick = std::env::var_os("WAFL_BENCH_QUICK").is_some();
     let mut t = FigureTable::new(
         "exp_cache_contention",
-        "bucket-cache GET throughput: lock-free vs mutex shards vs single lock",
+        "bucket-cache GET throughput (modeled): mutex shards vs single lock",
     );
     let (single, _) = sweep(Layout::SingleLock);
     let (mutex_sharded, r_mutex) = sweep(Layout::MutexSharded);
-    let (lockfree, r_lf) = sweep(Layout::LockFree);
-    let (lockfree_get8, _) = sweep(Layout::LockFreeGet8);
+    let (mutex_sharded_get8, _) = sweep(Layout::MutexShardedGet8);
 
     for (i, &n) in THREADS.iter().enumerate() {
         t.row_measured(
-            format!("GET/s lock-free @{n} threads"),
-            lockfree.points[i].gets_per_sec,
-            "GET/s",
-        );
-        t.row_measured(
-            format!("GET/s mutex-sharded @{n} threads"),
+            format!("modeled GET/s mutex-sharded @{n} threads"),
             mutex_sharded.points[i].gets_per_sec,
             "GET/s",
         );
         t.row_measured(
-            format!("GET/s single-lock @{n} threads"),
+            format!("modeled GET/s single-lock @{n} threads"),
             single.points[i].gets_per_sec,
             "GET/s",
         );
         t.row_measured(
-            format!("GET/s lock-free get_many(8) @{n} threads"),
-            lockfree_get8.points[i].gets_per_sec,
+            format!("modeled GET/s mutex-sharded get_many(8) @{n} threads"),
+            mutex_sharded_get8.points[i].gets_per_sec,
             "GET/s",
         );
     }
     // Contention-counter detail at the widest point.
-    if let (Some(rl), Some(rm)) = (r_lf.last(), r_mutex.last()) {
-        t.cache_rows("lock-free @16", rl);
-        t.cache_rows("mutex-sharded @16", rm);
+    if let Some(rm) = r_mutex.last() {
+        t.cache_rows("modeled mutex-sharded @16", rm);
     }
 
-    let (speedup_mutex, min_mutex) = speedups(&lockfree, &mutex_sharded);
-    let (speedup_single, min_single) = speedups(&lockfree, &single);
+    let (speedup_single, min_single) = speedups(&mutex_sharded, &single);
     for (i, &n) in THREADS.iter().enumerate() {
         t.row_measured(
-            format!("lock-free speedup vs mutex @{n} threads"),
-            speedup_mutex[i],
-            "x",
-        );
-        t.row_measured(
-            format!("lock-free speedup vs single-lock @{n} threads"),
+            format!("modeled sharded speedup vs single-lock @{n} threads"),
             speedup_single[i],
             "x",
         );
@@ -666,13 +658,11 @@ fn main() {
         bench: "exp_cache_contention".to_string(),
         quick,
         threads: THREADS.iter().map(|&n| n as u64).collect(),
+        model_constants: model_constants(),
         single_lock: single,
         mutex_sharded,
-        lockfree,
-        lockfree_get8,
-        speedup_lockfree_vs_mutex: speedup_mutex,
-        speedup_lockfree_vs_single_lock: speedup_single,
-        min_vs_mutex_at_8_plus_threads: min_mutex,
+        mutex_sharded_get8,
+        speedup_sharded_vs_single_lock: speedup_single,
         min_vs_single_lock_at_8_plus_threads: min_single,
         real_thread: real,
     };
@@ -691,8 +681,17 @@ fn main() {
         println!("[saved {}]", path.display());
     }
     emit(&t);
+    if let Some(rt) = &doc.real_thread {
+        for p in &rt.points {
+            println!(
+                "real cache @{} threads: {:.0} GET/s sharded, {:.0} GET/s single lock \
+                 ({:.2}x, wall clock, {} cpus)",
+                p.threads, p.sharded_gets_per_sec, p.single_lock_gets_per_sec, p.speedup, rt.cpus
+            );
+        }
+    }
     println!(
-        "min GET speedup at ≥ 8 cleaner threads: {min_mutex:.2}x vs mutex shards \
-         (floor {MUTEX_FLOOR}x), {min_single:.2}x vs single lock (floor {SINGLE_LOCK_FLOOR}x)"
+        "modeled min GET speedup at ≥ 8 cleaner threads: {min_single:.2}x sharded vs \
+         single lock (floor {SINGLE_LOCK_FLOOR}x)"
     );
 }

@@ -51,8 +51,8 @@ use std::time::{Duration, Instant};
 /// Opaque handle for one submitted write I/O.
 ///
 /// Tickets are minted only by [`AioEngine::submit`] (the field is
-/// private, and `scripts/lint_concurrency.py` additionally enforces
-/// that no code outside this module constructs one): a completion can
+/// private, and `ward --check` additionally enforces that no code
+/// outside this module constructs one): a completion can
 /// therefore never be forged or double-sourced by a caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IoTicket(u64);
@@ -585,8 +585,7 @@ struct Inner {
     rings: Vec<SubmitRing>,
     completions: CompletionRing<Completion>,
     /// Spill list for a full completion ring, so a worker never blocks
-    /// on a caller that is slow to poll (same pattern as the arena's
-    /// ArenaFull overflow queue).
+    /// on a caller that is slow to poll.
     overflow: parking_lot::Mutex<Vec<Completion>>, // lock-rank: aio.overflow 74
     submitted: std::sync::atomic::AtomicU64,
     completed: std::sync::atomic::AtomicU64,

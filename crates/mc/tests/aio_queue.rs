@@ -19,9 +19,8 @@
 //! A final detection-power test proves the harness catches a broken
 //! hand-off (a flag-free queue whose unsynchronised cell access the
 //! vector-clock race detector must flag) — the license for the passing
-//! models. Structure mirrors `arena_reclaim.rs`: seeded-random
-//! schedules broad and cheap, bounded-exhaustive DFS systematic over a
-//! shorter model. Replay failures with `MC_REPLAY=<seed>`; see
+//! models. Seeded-random schedules are broad and cheap;
+//! bounded-exhaustive DFS is systematic over a shorter model. Replay failures with `MC_REPLAY=<seed>`; see
 //! `crates/mc/README.md`.
 
 use mc::sync::atomic::{AtomicU64, Ordering};

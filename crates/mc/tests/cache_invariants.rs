@@ -1,16 +1,13 @@
 //! Model-checked invariants for `alligator::BucketCache` — the
-//! lock-free GET path, the seqlock publish gate, the undo paths, and
-//! the waiter protocol — explored under the controlled scheduler
-//! (`alligator` is built with `--features mc` here).
+//! mutex-sharded GET path with its fill-scan steals, the collective
+//! multi-shard `insert_all`, batched `get_many`, and the waiter
+//! protocol — explored under the controlled scheduler (`alligator` is
+//! built with `--features mc` here).
 //!
 //! Replay a failure with `MC_REPLAY=<seed> cargo test -p mc <test>`;
-//! see `crates/mc/README.md`. The detection-power tests at the bottom
-//! seed the bugs this cache's design guards against (gate-polling undo,
-//! ordering-weakened seqlock) and assert the checker finds them.
+//! see `crates/mc/README.md`.
 
-use alligator::{AllocStats, Bucket, BucketCache, Tetris, TreiberStack};
-use mc::sync::atomic::{AtomicU64, Ordering};
-use mc::sync::Mutex;
+use alligator::{AllocStats, Bucket, BucketCache, Tetris};
 use std::sync::Arc;
 use std::time::Duration;
 use wafl_blockdev::{AaId, DriveId, DriveKind, GeometryBuilder, IoEngine, RaidGroupId, Vbn};
@@ -51,7 +48,7 @@ fn mk_bucket(engine: &Arc<IoEngine>, drive: u32, start: u64, generation: u64) ->
     )
 }
 
-fn lf_cache(nshards: usize) -> Arc<BucketCache> {
+fn cache(nshards: usize) -> Arc<BucketCache> {
     Arc::new(BucketCache::with_shards(
         nshards,
         Arc::new(AllocStats::default()),
@@ -69,7 +66,7 @@ fn concurrent_gets_conserve_buckets() {
     mc::Checker::new("cache-conservation")
         .schedules(300)
         .check(|| {
-            let c = lf_cache(2);
+            let c = cache(2);
             c.insert_all([
                 mk_bucket(&eng, 0, 0, 1),
                 mk_bucket(&eng, 1, 100, 1),
@@ -108,7 +105,7 @@ fn insert_all_is_collectively_visible() {
     mc::Checker::new("cache-collective")
         .schedules(300)
         .check(|| {
-            let c = lf_cache(2);
+            let c = cache(2);
             let c1 = Arc::clone(&c);
             let eng1 = Arc::clone(&eng);
             let pub1 = mc::thread::spawn(move || {
@@ -129,21 +126,17 @@ fn insert_all_is_collectively_visible() {
         });
 }
 
-/// Oldest-round-first across the undo path (the satellite-1 regression):
-/// a getter whose CAS pop races one or two collective publishes must
-/// never let a round-1 bucket get buried under round 2/3 — whichever
-/// interleaving the undo takes, the oldest live round stays on top.
-/// Reverting `unpop_lf`/`insert_lf` to gate-polling (instead of holding
-/// `publish`) makes this fail — see
-/// `checker_finds_burial_with_gate_polling_undo` below for the seeded
-/// version of that bug.
+/// Oldest-round-first: a getter racing one or two collective publishes
+/// must receive the round-1 bucket, and no round may be buried under a
+/// newer one — whichever interleaving the publishes take, the cache
+/// drains in round order.
 #[test]
-fn oldest_round_pops_first_despite_undo_races() {
+fn oldest_round_pops_first_despite_publish_races() {
     let eng = engine();
     mc::Checker::new("cache-oldest-first")
         .schedules(400)
         .check(|| {
-            let c = lf_cache(1);
+            let c = cache(1);
             c.insert_all([mk_bucket(&eng, 0, 0, 1)]);
             let c1 = Arc::clone(&c);
             let getter = mc::thread::spawn(move || c1.try_get_from(0).map(|b| b.generation()));
@@ -182,7 +175,7 @@ fn cross_shard_insert_never_loses_a_wakeup() {
     mc::Checker::new("cache-lost-wakeup")
         .schedules(400)
         .check(|| {
-            let c = lf_cache(2);
+            let c = cache(2);
             let c1 = Arc::clone(&c);
             let waiter = mc::thread::spawn(move || c1.get_timeout_from(1, Duration::from_secs(5)));
             c.insert(mk_bucket(&eng, 0, 0, 1));
@@ -197,15 +190,15 @@ fn cross_shard_insert_never_loses_a_wakeup() {
 }
 
 /// Batched GET vs a racing collective publish: the batch never mixes
-/// refill rounds, never loses buckets across the undo/retry, and leaves
-/// the cache drainable in round order.
+/// refill rounds, never loses buckets, and leaves the cache drainable
+/// in round order.
 #[test]
 fn get_many_respects_round_boundary_under_publish() {
     let eng = engine();
     mc::Checker::new("cache-batch-boundary")
         .schedules(400)
         .check(|| {
-            let c = lf_cache(1);
+            let c = cache(1);
             c.insert_all([mk_bucket(&eng, 0, 0, 1), mk_bucket(&eng, 0, 10, 1)]);
             let c1 = Arc::clone(&c);
             let batcher = mc::thread::spawn(move || {
@@ -245,148 +238,7 @@ fn get_many_respects_round_boundary_under_publish() {
             assert_eq!(
                 all.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
                 vec![0, 10, 100, 110],
-                "bucket lost or duplicated across the batch undo"
+                "bucket lost or duplicated across the batch"
             );
         });
-}
-
-// ---------------------------------------------------------------------------
-// Detection power: seed the bugs this design rules out; the checker
-// must find each one.
-// ---------------------------------------------------------------------------
-
-/// The bucket cache's publish protocol with the undo bug the real cache
-/// fixed: the undo path *polls* the gate for evenness and then pushes,
-/// instead of holding the `publish` mutex across the push. A publisher
-/// can start its drain+republish between the poll and the push, so the
-/// undone (older) item lands *under* the new batch.
-struct GatePollingCache {
-    stack: TreiberStack<u64>,
-    gate: AtomicU64,
-    publish: Mutex<()>,
-}
-
-impl GatePollingCache {
-    fn new() -> Self {
-        Self {
-            stack: TreiberStack::new(),
-            gate: AtomicU64::new(0),
-            publish: Mutex::new(()),
-        }
-    }
-
-    fn gate_wait_even(&self) -> u64 {
-        loop {
-            // ordering: Acquire — pairs with the publisher's AcqRel gate
-            // increments, as in the real cache;
-            // pairs-with: mc.cache-gate.
-            let g = self.gate.load(Ordering::Acquire);
-            if g & 1 == 0 {
-                return g;
-            }
-            mc::thread::yield_now();
-        }
-    }
-
-    /// Collective publish: drain leftovers, republish them on top of the
-    /// new item (identical to `insert_all_lf`).
-    fn publish(&self, gen: u64) {
-        let _p = self.publish.lock();
-        // ordering: AcqRel — open the window (see `insert_all_lf`);
-        // pairs-with: mc.cache-gate.
-        self.gate.fetch_add(1, Ordering::AcqRel);
-        let older = self.stack.pop_many(usize::MAX);
-        self.stack
-            .push_many_keyed(older.into_iter().chain([gen]).map(|g| (g, g)));
-        // ordering: AcqRel — close the window; pairs-with: mc.cache-gate.
-        self.gate.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// BUG (the pre-fix undo): wait for an even gate, then push. The
-    /// gate can go odd again between the check and the push.
-    fn undo_buggy(&self, gen: u64) {
-        self.gate_wait_even();
-        self.stack.push_keyed(gen, gen);
-    }
-}
-
-/// Seeded-bug test: the checker must find a schedule where the
-/// gate-polling undo lands a round-1 item inside a publisher's
-/// drain→republish window, burying it under round 2/3.
-#[test]
-fn checker_finds_burial_with_gate_polling_undo() {
-    let result = mc::Checker::new("gate-polling-burial")
-        .schedules(2000)
-        .try_check(|| {
-            let c = Arc::new(GatePollingCache::new());
-            // Pre-state: a getter popped the round-1 item and detected a
-            // gate change, so it owes an undo push (also pre-warms the
-            // stack's node arena so the racing ops below are compact).
-            c.stack.push_keyed(1, 1);
-            assert_eq!(c.stack.pop(), Some(1));
-            let c1 = Arc::clone(&c);
-            let undoer = mc::thread::spawn(move || c1.undo_buggy(1));
-            let c2 = Arc::clone(&c);
-            let publisher = mc::thread::spawn(move || {
-                c2.publish(2);
-                c2.publish(3);
-            });
-            undoer.join().unwrap();
-            publisher.join().unwrap();
-            let drained = c.stack.pop_many(usize::MAX);
-            let mut sorted = drained.clone();
-            sorted.sort_unstable();
-            assert_eq!(
-                drained, sorted,
-                "older round buried under a newer batch: {drained:?}"
-            );
-        });
-    let failure = result.expect_err("the checker must detect the undo burial");
-    assert!(
-        failure.message.contains("buried"),
-        "unexpected failure message: {}",
-        failure.message
-    );
-    assert!(
-        failure.sseed.is_some(),
-        "random-mode failure must be replayable"
-    );
-}
-
-/// Seeded-bug test: a seqlock whose gate is written/read `Relaxed`
-/// (instead of Release/Acquire as in the real cache) lets a reader see
-/// the gate closed while the published data is still stale. The
-/// allowed-stale model must find it even though the interleaving looks
-/// sequential.
-#[test]
-fn checker_finds_relaxed_seqlock_gate() {
-    let result = mc::Checker::new("relaxed-seqlock")
-        .schedules(500)
-        .try_check(|| {
-            let data = Arc::new(AtomicU64::new(0));
-            let gate = Arc::new(AtomicU64::new(0));
-            let d1 = Arc::clone(&data);
-            let g1 = Arc::clone(&gate);
-            let publisher = mc::thread::spawn(move || {
-                // ordering: deliberately Relaxed — the seeded bug.
-                g1.store(1, Ordering::Relaxed);
-                // ordering: deliberately Relaxed — the seeded bug.
-                d1.store(42, Ordering::Relaxed);
-                // ordering: deliberately Relaxed (should be Release).
-                g1.store(2, Ordering::Relaxed);
-            });
-            // ordering: deliberately Relaxed (should be Acquire).
-            if gate.load(Ordering::Relaxed) == 2 {
-                // ordering: deliberately Relaxed — may legally see 0.
-                let v = data.load(Ordering::Relaxed);
-                assert_eq!(v, 42, "seqlock gate closed but data is stale ({v})");
-            }
-            publisher.join().unwrap();
-        });
-    let failure = result.expect_err("the checker must catch the stale read");
-    assert!(
-        failure.message.contains("stale"),
-        "unexpected failure message: {}",
-        failure.message
-    );
 }

@@ -20,10 +20,10 @@
 //!   timestamped delta ring — rate queries, SLO burn-rate tracking, a
 //!   Prometheus-text exporter, and a `wafl.telemetry.v1` JSON export.
 //! * **Flight recorder** ([`blackbox::Blackbox`]): on a trigger (drive
-//!   offlining, CP crash point, `ArenaFull` fallback, scrub finding,
-//!   manual) atomically writes a post-mortem bundle — recent events
-//!   from every thread ring, full metrics, registered config/fault
-//!   sections — schema `wafl.blackbox.v1`.
+//!   offlining, CP crash point, scrub finding, manual) atomically
+//!   writes a post-mortem bundle — recent events from every thread
+//!   ring, full metrics, registered config/fault sections — schema
+//!   `wafl.blackbox.v1`.
 //!
 //! Instrumentation sites use the macros:
 //!

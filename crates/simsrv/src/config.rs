@@ -89,15 +89,6 @@ pub struct CostModel {
     /// cleaner (lock contention on the bucket cache / used queue; §V-B's
     /// "more threads come with additional lock contention").
     pub cleaner_contention_factor: f64,
-    /// Cleaner CPU per bucket cycle on the lock-free (Treiber-stack) GET
-    /// path: one CAS pop plus the fullest-shard hint load, no mutex
-    /// acquire/release or condvar bookkeeping on the common path.
-    pub cleaner_cas_sync: u64,
-    /// Additional fraction of `cleaner_cas_sync` per extra sharer — CAS
-    /// retries under contention cost far less than blocked mutex
-    /// acquisitions because the loser retries immediately instead of
-    /// parking (the reason the lock-free layout flattens the §V-B curve).
-    pub cas_contention_factor: f64,
     /// Cleaner CPU per cleaning message (dispatch overhead; what §V-C's
     /// batching amortizes).
     pub cleaner_msg_overhead: u64,
@@ -134,8 +125,6 @@ impl Default for CostModel {
             cleaner_per_buffer: 2_500,
             cleaner_bucket_sync: 4_000,
             cleaner_contention_factor: 0.06,
-            cleaner_cas_sync: 1_500,
-            cas_contention_factor: 0.02,
             cleaner_msg_overhead: 9_000,
             cleaner_inode_overhead: 1_500,
 
@@ -226,11 +215,6 @@ pub struct SimConfig {
     /// funnels through. Pre-[`Era::WhiteAlligator`] eras always behave as
     /// single-lock regardless of this setting.
     pub cache_shards: u32,
-    /// Lock-free (Treiber-stack) GET hot path. `true` charges
-    /// [`CostModel::cleaner_cas_sync`] per bucket cycle; `false` keeps
-    /// the mutex-shard cost ([`CostModel::cleaner_bucket_sync`]).
-    /// Pre-[`Era::WhiteAlligator`] eras always behave as mutex.
-    pub cache_lockfree: bool,
     /// Max buckets one GET may pop from the cleaner's home shard in a
     /// single synchronization (`get_many(k)`). Equal progress still
     /// bounds the batch: draining stops as soon as another shard would
@@ -292,7 +276,6 @@ impl SimConfig {
             chunk: 64,
             drives: 12,
             cache_shards: 0,
-            cache_lockfree: true,
             cache_get_batch: 4,
             stage_capacity: 256,
             dirty_limit: 1_024,

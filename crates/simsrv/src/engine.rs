@@ -81,16 +81,6 @@ pub struct SimResult {
     pub put_commit_queue_len: u64,
     /// Total infrastructure time spent committing used buckets.
     pub commit_batch_ns: u64,
-    /// Bucket-cache inserts that minted a fresh arena node (the recycled
-    /// pool was empty, so the modeled arena footprint grew by one node).
-    pub arena_fresh_mints: u64,
-    /// Bucket-cache inserts served from the recycled node pool — the
-    /// steady-state path once the arena reaches its working-set plateau.
-    pub arena_reuse_hits: u64,
-    /// Fully-freed 64-node chunks retired back out of the modeled arena
-    /// (epoch-based reclamation returning memory after a population
-    /// shrink, instead of holding the high-water mark forever).
-    pub arena_chunks_retired: u64,
     /// Modeled async writes (used-bucket commits submitted to the
     /// infrastructure) still awaiting completion when the run ended —
     /// the DES analog of `blockdev::aio`'s `io_inflight` gauge.
@@ -139,9 +129,6 @@ impl SimResult {
             ("cache_get_batched", self.cache_get_batched),
             ("put_commit_queue_len", self.put_commit_queue_len),
             ("commit_batch_ns", self.commit_batch_ns),
-            ("arena_fresh_mints", self.arena_fresh_mints),
-            ("arena_reuse_hits", self.arena_reuse_hits),
-            ("arena_chunks_retired", self.arena_chunks_retired),
             ("io_inflight", self.io_inflight),
             ("io_queue_depth_peak", self.io_queue_depth_peak),
             ("io_submit_to_complete_ns", self.io_submit_to_complete_ns),
@@ -270,9 +257,6 @@ struct Engine<'c> {
     shard_buckets: Vec<u64>,
     /// Round-robin cursor for refill inserts across shards.
     shard_rr: usize,
-    /// Resolved cache layout: lock-free CAS hot path (White Alligator
-    /// default) or mutex shards (baseline / pre-sharding eras).
-    cache_lockfree: bool,
     /// Resolved `get_many` batch bound (1 before White Alligator).
     get_batch: u64,
     /// Per-cleaner flag: the next quantum is the first since a bucket
@@ -327,17 +311,6 @@ struct Engine<'c> {
     /// affinities service commits out of submission order).
     io_submit_times: VecDeque<u64>,
 
-    // Arena model: every cached bucket occupies one Treiber-arena node.
-    // Inserts draw from the recycled pool before minting fresh nodes;
-    // pops return nodes to the pool; refill rounds retire whole chunks
-    // once the pool holds more than a chunk of slack (mirroring the real
-    // arena's keep-one-live-chunk retire floor).
-    arena_free_nodes: u64,
-    arena_minted: u64,
-    arena_fresh_mints: u64,
-    arena_reuse_hits: u64,
-    arena_chunks_retired: u64,
-
     // Fault injection. The ordinal is a dedicated counter hashed with the
     // seed, so the fault stream is deterministic and independent of the
     // workload RNG (enabling faults does not reshuffle op shapes).
@@ -385,9 +358,8 @@ impl<'c> Engine<'c> {
                 n => n as usize,
             }
         };
-        // Pre-White-Alligator eras predate both the Treiber-stack hot
-        // path and batched GETs: mutex sync, one bucket per pop.
-        let cache_lockfree = !single_cleaner_era && cfg.cache_lockfree;
+        // Pre-White-Alligator eras predate batched GETs: one bucket per
+        // pop.
         let get_batch = if single_cleaner_era {
             1
         } else {
@@ -418,7 +390,6 @@ impl<'c> Engine<'c> {
             bucket_cache: initial_cache,
             shard_buckets,
             shard_rr: 0,
-            cache_lockfree,
             get_batch,
             sync_pending: vec![false; max_cleaners],
             commit_outstanding: 0,
@@ -454,12 +425,6 @@ impl<'c> Engine<'c> {
             io_queue_depth_peak: 0,
             io_submit_to_complete_ns: 0,
             io_submit_times: VecDeque::new(),
-            // The warm-start cache population is already node-backed.
-            arena_free_nodes: 0,
-            arena_minted: initial_cache,
-            arena_fresh_mints: 0,
-            arena_reuse_hits: 0,
-            arena_chunks_retired: 0,
             fault_ordinal: 0,
             injected_faults: 0,
             fault_retries: 0,
@@ -618,10 +583,6 @@ impl<'c> Engine<'c> {
                 match kind {
                     InfraKind::Refill { take } => {
                         self.cache_insert(take);
-                        // Arena maintenance rides the refill round, as in
-                        // the real cache (insert_all runs `maintain()`
-                        // after the publish gate closes).
-                        self.arena_maintain();
                         self.refill_outstanding -= 1;
                         self.refills += 1;
                         self.wake_waiting_cleaners();
@@ -874,39 +835,6 @@ impl<'c> Engine<'c> {
         for _ in 0..n {
             self.shard_rr = (self.shard_rr + 1) % self.shard_buckets.len();
             self.shard_buckets[self.shard_rr] += 1;
-            // Each inserted bucket occupies one arena node: recycle from
-            // the free pool when possible, mint (grow the arena) only
-            // when the pool is dry — the real arena's alloc order.
-            if self.arena_free_nodes > 0 {
-                self.arena_free_nodes -= 1;
-                if self.measuring() {
-                    self.arena_reuse_hits += 1;
-                }
-            } else {
-                self.arena_minted += 1;
-                if self.measuring() {
-                    self.arena_fresh_mints += 1;
-                }
-            }
-        }
-    }
-
-    /// Chunk granularity of the modeled arena (nodes per slab), matching
-    /// the real allocator's release-build chunk size.
-    const ARENA_CHUNK: u64 = 64;
-
-    /// Retire whole chunks out of the modeled arena once the recycled
-    /// pool holds more than a chunk of slack. The real arena only frees
-    /// a slab when every node in it is back on the free list and keeps
-    /// at least one live chunk, so retirement leaves one chunk's worth
-    /// of pooled nodes behind rather than draining to zero.
-    fn arena_maintain(&mut self) {
-        while self.arena_free_nodes >= 2 * Self::ARENA_CHUNK {
-            self.arena_free_nodes -= Self::ARENA_CHUNK;
-            self.arena_minted = self.arena_minted.saturating_sub(Self::ARENA_CHUNK);
-            if self.measuring() {
-                self.arena_chunks_retired += 1;
-            }
         }
     }
 
@@ -937,8 +865,6 @@ impl<'c> Engine<'c> {
         if target != home {
             self.shard_buckets[target] -= 1;
             self.bucket_cache -= 1;
-            // The popped bucket's arena node returns to the free pool.
-            self.arena_free_nodes += 1;
             if self.measuring() {
                 self.cache_get_steal += 1;
             }
@@ -955,8 +881,6 @@ impl<'c> Engine<'c> {
             self.bucket_cache -= 1;
             got += 1;
         }
-        // Batched pops free their nodes in one go (pop_chain semantics).
-        self.arena_free_nodes += got;
         if self.measuring() {
             self.cache_get_fast += got;
             self.cache_get_batched += got - 1;
@@ -1096,33 +1020,16 @@ impl<'c> Engine<'c> {
         self.usage.infra_ns += self.measured_portion(cost);
     }
 
-    /// Uncontended GET + PUT synchronization per bucket cycle: one CAS
-    /// pop on the lock-free layout, a mutex acquire/release pair on the
-    /// mutex-shard baseline.
-    fn base_sync_cost(&self) -> u64 {
-        if self.cache_lockfree {
-            self.cfg.costs.cleaner_cas_sync
-        } else {
-            self.cfg.costs.cleaner_bucket_sync
-        }
-    }
-
     /// GET + PUT synchronization per bucket cycle. Contention scales with
     /// the cleaners *per shard*, not the total: sharding divides the
     /// sharers, so 4 cleaners over 12 shards pay the uncontended cost
     /// while the single-lock layout pays for all 4 (§V-B's "more threads
-    /// come with additional lock contention"). The lock-free layout both
-    /// starts cheaper (CAS pop vs mutex) and degrades more slowly (a CAS
-    /// loser retries immediately instead of parking on the lock).
+    /// come with additional lock contention").
     fn bucket_sync_cost(&self) -> u64 {
         let c = &self.cfg.costs;
-        let factor = if self.cache_lockfree {
-            c.cas_contention_factor
-        } else {
-            c.cleaner_contention_factor
-        };
-        let contention = 1.0 + factor * self.shard_sharers().saturating_sub(1) as f64;
-        (self.base_sync_cost() as f64 * contention) as u64
+        let contention =
+            1.0 + c.cleaner_contention_factor * self.shard_sharers().saturating_sub(1) as f64;
+        (c.cleaner_bucket_sync as f64 * contention) as u64
     }
 
     fn charge_cleaner(&mut self, bufs: u64, inodes: u64, msgs: u64, synced: bool) {
@@ -1140,7 +1047,8 @@ impl<'c> Engine<'c> {
             // The contention surcharge *is* the modeled shard-lock wait,
             // paid only on quanta that actually synchronized.
             if synced {
-                self.cache_lock_waits_ns += self.bucket_sync_cost() - self.base_sync_cost();
+                self.cache_lock_waits_ns +=
+                    self.bucket_sync_cost() - self.cfg.costs.cleaner_bucket_sync;
             }
         }
     }
@@ -1247,9 +1155,6 @@ impl<'c> Engine<'c> {
             cache_get_batched: self.cache_get_batched,
             put_commit_queue_len: self.put_commit_queue_len,
             commit_batch_ns: self.commit_batch_ns,
-            arena_fresh_mints: self.arena_fresh_mints,
-            arena_reuse_hits: self.arena_reuse_hits,
-            arena_chunks_retired: self.arena_chunks_retired,
             io_inflight: self.io_submit_times.len() as u64,
             io_queue_depth_peak: self.io_queue_depth_peak,
             io_submit_to_complete_ns: self.io_submit_to_complete_ns,
@@ -1491,34 +1396,11 @@ mod tests {
         let mut cfg = base(WorkloadKind::sequential_write());
         cfg.era = Era::ClassicalCleanerThread;
         cfg.cache_shards = 0; // would be 12 under White Alligator
-        cfg.cache_lockfree = true; // ignored: the era predates the CAS path
         cfg.cache_get_batch = 8; // ignored: the era predates get_many
         let r = Simulator::new(cfg).run();
         assert_eq!(r.cache_get_steal, 0, "single shard cannot steal");
         assert!(r.cache_get_fast > 0);
         assert_eq!(r.cache_get_batched, 0, "get_many is forced to 1");
-    }
-
-    #[test]
-    fn lockfree_cache_spends_less_cleaner_time_than_mutex_shards() {
-        // Identical workload, identical schedule shape; the only change
-        // is the per-bucket GET synchronization (CAS pop vs mutex). The
-        // lock-free layout must spend strictly less cleaner time and
-        // must not lose throughput.
-        let mut lf = base(WorkloadKind::sequential_write());
-        lf.cleaners = CleanerSetting::Fixed(8);
-        lf.cache_lockfree = true;
-        let mut mx = lf.clone();
-        mx.cache_lockfree = false;
-        let rl = Simulator::new(lf).run();
-        let rm = Simulator::new(mx).run();
-        assert!(
-            rl.usage.cleaner_ns < rm.usage.cleaner_ns,
-            "CAS sync is cheaper: {} vs {}",
-            rl.usage.cleaner_ns,
-            rm.usage.cleaner_ns
-        );
-        assert!(rl.throughput_ops >= rm.throughput_ops * 0.999);
     }
 
     #[test]
@@ -1660,29 +1542,6 @@ mod tests {
         assert_eq!(r.put_commit_queue_len, 0);
         assert_eq!(r.io_queue_depth_peak, 0, "warmup io depth leaked");
         assert_eq!(r.io_submit_to_complete_ns, 0, "warmup io latency leaked");
-    }
-
-    #[test]
-    fn arena_model_reaches_reuse_steady_state() {
-        // With the cache population cycling (pop → refill → reinsert),
-        // the modeled arena must recycle nodes rather than mint on every
-        // insert: reuse dominates once the working set is built, and any
-        // fresh minting stays within one chunk of the cache's standing
-        // population (the real allocator's boundedness claim).
-        let r = Simulator::new(base(WorkloadKind::sequential_write())).run();
-        assert!(r.refills > 0, "workload must cycle the cache");
-        assert!(
-            r.arena_reuse_hits > r.arena_fresh_mints,
-            "steady state should recycle ({} reuse vs {} mints)",
-            r.arena_reuse_hits,
-            r.arena_fresh_mints
-        );
-        assert!(
-            r.arena_fresh_mints <= Engine::ARENA_CHUNK,
-            "measured-window minting must stay within one chunk of the \
-             warm-start population, got {}",
-            r.arena_fresh_mints
-        );
     }
 
     #[test]

@@ -182,9 +182,6 @@ mod tests {
             cache_get_batched: 30,
             put_commit_queue_len: 5,
             commit_batch_ns: 2_000_000,
-            arena_fresh_mints: 4,
-            arena_reuse_hits: 96,
-            arena_chunks_retired: 1,
             io_inflight: 0,
             io_queue_depth_peak: 5,
             io_submit_to_complete_ns: 2_000_000,

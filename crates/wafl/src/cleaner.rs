@@ -57,7 +57,7 @@ pub struct CleanerConfig {
     /// buckets from its home shard in one cache synchronization event
     /// ([`Allocator::get_bucket_many`]) and feeds later jobs from the
     /// prefetched tail — §IV-C's amortization applied to GET itself.
-    /// `1` disables batching (every bucket pays its own CAS/lock).
+    /// `1` disables batching (every bucket pays its own lock).
     pub get_batch: usize,
 }
 
@@ -475,11 +475,6 @@ impl CleanerPool {
         // are not part of the snapshot, so surface each one here; their
         // high-water marks arrive through `named()` above).
         let raw = self.shared.alloc.raw_stats();
-        reg.gauge("cache_arena_chunks_live").set(
-            raw.arena_chunks_live
-                // ordering: statistics gauge; staleness is acceptable.
-                .load(Ordering::Relaxed),
-        );
         reg.gauge("put_commit_outstanding").set(
             raw.put_commit_outstanding
                 // ordering: statistics gauge; staleness is acceptable.

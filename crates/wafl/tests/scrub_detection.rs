@@ -15,9 +15,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use proptest::prelude::*;
 use wafl::scrub::{FindingState, ScrubCheckpointStore, ScrubConfig};
 use wafl::{ExecMode, FileId, Filesystem, FsConfig, VolumeId};
-use wafl_blockdev::{stamp, BlockStamp, Dbn, DriveKind, GeometryBuilder, Vbn};
+use wafl_blockdev::{stamp, BlockStamp, Dbn, DriveKind, GeometryBuilder, RaidGroupId, Vbn};
 
+const FILES: u64 = 4;
 const FBNS: u64 = 48;
+/// Extra CPs the bad-parity seed may add to find a full stripe.
+const EXTRA_CPS: u64 = 8;
 
 /// Two RAID groups of (3 data + 1 parity) × 1024 blocks, 64-stripe AAs.
 fn mk_fs() -> Filesystem {
@@ -40,13 +43,31 @@ fn mk_fs() -> Filesystem {
 }
 
 fn fill(fs: &Filesystem, files: u64, fbns: u64) {
-    for f in 0..files {
+    fill_files(fs, 0..files, fbns);
+}
+
+/// Write `fbns` blocks to each new file in `ids`, then commit one CP.
+fn fill_files(fs: &Filesystem, ids: std::ops::Range<u64>, fbns: u64) {
+    for f in ids {
         fs.create_file(VolumeId(0), FileId(f));
         for fbn in 0..fbns {
             fs.write(VolumeId(0), FileId(f), fbn, stamp(f, fbn, 1));
         }
     }
     fs.run_cp();
+}
+
+/// A stripe `(rg, dbn)` whose every data member is referenced, if any.
+fn fully_referenced_stripe(fs: &Filesystem) -> Option<(RaidGroupId, u64)> {
+    let geo = fs.io().geometry();
+    let all = all_refs(fs);
+    geo.rg_ids().find_map(|rg| {
+        let group = fs.io().raid_group(rg);
+        let drives = group.data_drives().len() as u32;
+        (0..group.geometry().blocks_per_drive)
+            .find(|&dbn| (0..drives).all(|d| all.contains(&geo.vbn_at(rg, d, Dbn(dbn)).0)))
+            .map(|dbn| (rg, dbn))
+    })
 }
 
 /// vbn → expected stamp for every committed file block.
@@ -150,23 +171,23 @@ fn plant(fs: &Filesystem, seed: Seed) -> (String, BTreeSet<String>) {
             (key, allowed)
         }
         Seed::BadParity { mask } => {
-            // Find a stripe whose every data member is referenced, so the
-            // parity seed cannot be clobbered by a later full-stripe write.
-            let all = all_refs(fs);
-            let (rg, dbn) = 'found: {
-                for rg in geo.rg_ids() {
-                    let group = fs.io().raid_group(rg);
-                    let drives = group.data_drives().len() as u32;
-                    'dbn: for dbn in 0..group.geometry().blocks_per_drive {
-                        for d in 0..drives {
-                            if !all.contains(&geo.vbn_at(rg, d, Dbn(dbn)).0) {
-                                continue 'dbn;
-                            }
-                        }
-                        break 'found (rg, dbn);
-                    }
+            // Seed a stripe whose every data member is referenced, so the
+            // parity seed cannot be clobbered by a later full-stripe
+            // write. A small CP can spread one refill round across both
+            // RAID groups (cleaner i homes on shard i % nshards) and
+            // leave no stripe fully referenced; if so, commit another
+            // fill of fresh files per CP until a full stripe appears.
+            let mut extra = 0;
+            let (rg, dbn) = loop {
+                if let Some(found) = fully_referenced_stripe(fs) {
+                    break found;
                 }
-                panic!("no fully referenced stripe");
+                assert!(
+                    extra < EXTRA_CPS,
+                    "no fully referenced stripe after {EXTRA_CPS} extra CPs"
+                );
+                extra += 1;
+                fill_files(fs, extra * FILES..(extra + 1) * FILES, FBNS);
             };
             let group = fs.io().raid_group(rg);
             let cur = group.parity_drives()[0].peek(Dbn(dbn));

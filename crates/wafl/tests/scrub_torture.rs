@@ -18,6 +18,8 @@ use wafl_blockdev::{
 };
 
 const FBNS: u64 = 48;
+/// Extra fills a test may commit to get fully referenced stripes.
+const EXTRA_FILLS: u64 = 8;
 
 /// Two RAID groups of (3 data + 1 parity) × 1024 blocks, 64-stripe AAs:
 /// 16 AAs per group, 32 scrub units.
@@ -43,13 +45,44 @@ fn mk_fs(exec: ExecMode) -> Filesystem {
 
 /// Fill `files` × `FBNS` blocks of `vol` and commit a CP.
 fn fill(fs: &Filesystem, vol: VolumeId, files: u64, generation: u64) {
-    for f in 0..files {
+    fill_files(fs, vol, 0..files, generation);
+}
+
+/// Fill `FBNS` blocks of each new file in `ids` and commit a CP.
+fn fill_files(fs: &Filesystem, vol: VolumeId, ids: std::ops::Range<u64>, generation: u64) {
+    for f in ids {
         fs.create_file(vol, FileId(f));
         for fbn in 0..FBNS {
             fs.write(vol, FileId(f), fbn, stamp(f, fbn, generation));
         }
     }
     fs.run_cp();
+}
+
+/// After `fill(fs, vol, files, generation)`: commit further fills of
+/// `files` fresh files, one CP each, until `vol` alone fully references
+/// at least `want` stripes. A small CP can spread one refill round
+/// across both RAID groups (cleaner i homes on shard i % nshards) and
+/// leave no stripe fully referenced.
+fn fill_until_full_stripes(
+    fs: &Filesystem,
+    vol: VolumeId,
+    files: u64,
+    generation: u64,
+    want: usize,
+) {
+    for extra in 1..=EXTRA_FILLS {
+        let refs: BTreeSet<u64> = image_refs(fs, vol).into_keys().collect();
+        if full_stripes(fs, &refs).len() >= want {
+            return;
+        }
+        fill_files(fs, vol, extra * files..(extra + 1) * files, generation);
+    }
+    let refs: BTreeSet<u64> = image_refs(fs, vol).into_keys().collect();
+    assert!(
+        full_stripes(fs, &refs).len() >= want,
+        "fewer than {want} fully referenced stripes after {EXTRA_FILLS} extra fills"
+    );
 }
 
 /// vbn → expected stamp for every file block the committed image
@@ -108,6 +141,22 @@ fn corrupt_stamp(fs: &Filesystem, vbn: u64, bad: BlockStamp) {
     group.data_drives()[loc.drive_in_rg as usize].repair_write(loc.dbn, &[bad]);
 }
 
+/// Every stripe `(rg_index, dbn)` whose data blocks are all in `refs`.
+fn full_stripes(fs: &Filesystem, refs: &BTreeSet<u64>) -> Vec<(u32, u64)> {
+    let geo = fs.io().geometry();
+    let mut out = Vec::new();
+    for rg in geo.rg_ids() {
+        let group = fs.io().raid_group(rg);
+        let drives = group.data_drives().len() as u32;
+        for dbn in 0..group.geometry().blocks_per_drive {
+            if (0..drives).all(|d| refs.contains(&geo.vbn_at(rg, d, Dbn(dbn)).0)) {
+                out.push((rg.0, dbn));
+            }
+        }
+    }
+    out
+}
+
 /// Find a stripe whose every data block is in `refs` (so a seeded
 /// parity corruption cannot be "fixed" by a concurrent full-stripe
 /// write), excluding one stripe. Returns `(rg_index, dbn)`.
@@ -116,24 +165,10 @@ fn referenced_stripe(
     refs: &BTreeSet<u64>,
     exclude: Option<(u32, u64)>,
 ) -> (u32, u64) {
-    let geo = fs.io().geometry();
-    for rg in geo.rg_ids() {
-        let group = fs.io().raid_group(rg);
-        let drives = group.data_drives().len() as u32;
-        let blocks = group.geometry().blocks_per_drive;
-        'dbn: for dbn in 0..blocks {
-            if exclude == Some((rg.0, dbn)) {
-                continue;
-            }
-            for d in 0..drives {
-                if !refs.contains(&geo.vbn_at(rg, d, Dbn(dbn)).0) {
-                    continue 'dbn;
-                }
-            }
-            return (rg.0, dbn);
-        }
-    }
-    panic!("no fully referenced stripe anywhere");
+    full_stripes(fs, refs)
+        .into_iter()
+        .find(|&s| Some(s) != exclude)
+        .expect("no fully referenced stripe anywhere")
 }
 
 /// XOR-corrupt the parity block of `(rg, dbn)`.
@@ -211,6 +246,8 @@ fn scrub_detects_and_repairs_every_seeded_corruption_class() {
     let fs = mk_fs(ExecMode::Inline);
     fill(&fs, VolumeId(0), 4, 1);
     fill(&fs, VolumeId(1), 3, 2);
+    // Two, so one survives excluding the bit-flip's stripe below.
+    fill_until_full_stripes(&fs, VolumeId(1), 3, 2, 2);
     let refs1 = image_refs(&fs, VolumeId(1));
     let all = all_refs(&fs);
     let aggmap = fs.allocator().infra().aggmap();
@@ -531,6 +568,7 @@ fn online_scrub_against_active_cleaners_catches_all_seeds() {
     let fs = mk_fs(ExecMode::Pool(4));
     // Volume 1 is the quiescent victim; volume 0 takes foreground churn.
     fill(&fs, VolumeId(1), 4, 7);
+    fill_until_full_stripes(&fs, VolumeId(1), 4, 7, 2);
     fill(&fs, VolumeId(0), 4, 1);
     let refs1 = image_refs(&fs, VolumeId(1));
     let all = all_refs(&fs);

@@ -1,133 +1,7 @@
-//! Ports of the module-specific gates the Python lint carried: arena
-//! exhaustion-abort / epoch-SeqCst / layering rules and the
-//! workspace-wide `IoTicket` minting rule.
+//! Module-specific gates: the workspace-wide `IoTicket` minting rule.
 
 use crate::report::Finding;
-use crate::scrub::{find_word, matching, Scrubbed};
-
-/// Gate: capacity exhaustion must surface as typed `ArenaFull`
-/// backpressure, never as an `assert!`/`panic!` abort (the bug class the
-/// bounded arena replaced). Applies to `arena.rs` and `treiber.rs`.
-pub fn check_no_exhaustion_aborts(rel: &str, src: &Scrubbed, findings: &mut Vec<Finding>) {
-    for word in ["assert", "debug_assert", "panic", "assert_eq", "assert_ne"] {
-        for pos in find_word(&src.code, word) {
-            let after = pos + word.len();
-            let b = src.code.as_bytes();
-            if b.get(after) != Some(&b'!') {
-                continue;
-            }
-            let Some(open) = src.code[after..].find(['(', '[']).map(|i| after + i) else {
-                continue;
-            };
-            let Some(close) = matching(&src.code, open) else {
-                continue;
-            };
-            // The message lives in a string literal, which the scrubbed
-            // view blanks — search the original text in the same span.
-            let region = &src.text[open..=close.min(src.text.len() - 1)];
-            if region.to_ascii_lowercase().contains("exhaust") {
-                let ln = src.line_of(pos);
-                findings.push(Finding::new(
-                    "arena-abort",
-                    rel,
-                    ln,
-                    format!(
-                        "capacity-exhaustion abort reintroduced — return the \
-                         typed ArenaFull error instead: {}",
-                        src.lines()[ln - 1].trim()
-                    ),
-                    format!("abort:{}", src.lines()[ln - 1].trim()),
-                ));
-            }
-        }
-    }
-}
-
-const EPOCH_FIELDS: [&str; 3] = ["epoch", "pin_state", "overflow_pins"];
-const WEAK: [&str; 4] = ["Relaxed", "Acquire", "Release", "AcqRel"];
-
-/// Gate: the arena's epoch-protocol atomics (`epoch`, `pin_state`,
-/// `overflow_pins`) are SeqCst-only — the advance/pin race is reasoned
-/// in a single total order; a weakened access silently re-opens the
-/// reclamation race.
-pub fn check_epoch_seqcst(rel: &str, src: &Scrubbed, findings: &mut Vec<Finding>) {
-    let b = src.code.as_bytes();
-    for field in EPOCH_FIELDS {
-        for pos in find_word(&src.code, field) {
-            // field . method (
-            let mut j = pos + field.len();
-            while j < b.len() && b[j].is_ascii_whitespace() {
-                j += 1;
-            }
-            if b.get(j) != Some(&b'.') {
-                continue;
-            }
-            let Some((mstart, method)) = crate::scrub::ident_after(&src.code, j + 1) else {
-                continue;
-            };
-            let atomicish = matches!(
-                method.as_str(),
-                "load" | "store" | "swap" | "compare_exchange" | "compare_exchange_weak"
-            ) || method.starts_with("fetch_");
-            if !atomicish {
-                continue;
-            }
-            let mut k = mstart + method.len();
-            while k < b.len() && b[k].is_ascii_whitespace() {
-                k += 1;
-            }
-            if b.get(k) != Some(&b'(') {
-                continue;
-            }
-            let Some(close) = matching(&src.code, k) else {
-                continue;
-            };
-            let args = &src.code[k..close];
-            for weak in WEAK {
-                if args
-                    .match_indices(weak)
-                    .any(|(p, _)| args[..p].trim_end().ends_with("Ordering::"))
-                {
-                    let ln = src.line_of(pos);
-                    findings.push(Finding::new(
-                        "epoch-seqcst",
-                        rel,
-                        ln,
-                        format!(
-                            "`{field}` accessed with Ordering::{weak} — the epoch \
-                             protocol is reasoned in a single total order and \
-                             must use SeqCst exclusively"
-                        ),
-                        format!("weak:{field}:{method}:{weak}"),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// Gate: the arena sits *below* the cache locks — it must never reach
-/// up into `lock_shard`/`lock_publish` (its limbo mutex is a leaf,
-/// which is what makes calling `maintain()` under `publish`
-/// deadlock-free).
-pub fn check_arena_layering(rel: &str, src: &Scrubbed, findings: &mut Vec<Finding>) {
-    for needle in ["lock_shard", "lock_publish"] {
-        if let Some(pos) = find_word(&src.code, needle).first() {
-            let ln = src.line_of(*pos);
-            findings.push(Finding::new(
-                "arena-layering",
-                rel,
-                ln,
-                format!(
-                    "arena references the cache lock `{needle}` — the arena's \
-                     limbo mutex must stay a leaf (maintain() runs under \
-                     `publish`)"
-                ),
-                format!("layer:{needle}"),
-            ));
-        }
-    }
-}
+use crate::scrub::{find_word, Scrubbed};
 
 /// Where `IoTicket(` construction is legal.
 pub const TICKET_HOME: &str = "crates/blockdev/src/aio.rs";
@@ -171,64 +45,6 @@ pub fn check_ticket_construction(rel: &str, src: &Scrubbed, findings: &mut Vec<F
 mod tests {
     use super::*;
     use crate::scrub::Scrubbed;
-
-    #[test]
-    fn exhaustion_abort_fires_and_backpressure_text_does_not() {
-        let bad = Scrubbed::new(
-            "fn mint(&self) { assert!(idx < cap, \"TreiberStack arena exhausted\"); }",
-        );
-        let mut f = Vec::new();
-        check_no_exhaustion_aborts("arena.rs", &bad, &mut f);
-        assert_eq!(f.len(), 1, "{f:?}");
-
-        let ok = Scrubbed::new(
-            "fn push(&self) { self.try_push().expect(\"arena at capacity \
-             (use try_push_keyed for backpressure)\"); }",
-        );
-        let mut f = Vec::new();
-        check_no_exhaustion_aborts("arena.rs", &ok, &mut f);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn weak_epoch_access_fires_twice() {
-        let src = Scrubbed::new(
-            "fn pin(&self) {\n\
-             let e = self.epoch.load(Ordering::Acquire);\n\
-             slot.pin_state\n\
-                 .compare_exchange(0, e, Ordering::SeqCst, Ordering::Acquire);\n\
-             }",
-        );
-        let mut f = Vec::new();
-        check_epoch_seqcst("arena.rs", &src, &mut f);
-        assert_eq!(f.len(), 2, "{f:?}");
-    }
-
-    #[test]
-    fn seqcst_epoch_and_non_protocol_fields_pass() {
-        let src = Scrubbed::new(
-            "fn pin(&self) {\n\
-             let e = self.epoch.load(Ordering::SeqCst);\n\
-             let r = self.limbo_retire_epoch.load(Ordering::Acquire);\n\
-             self.overflow_pins.fetch_add(1, Ordering::SeqCst);\n\
-             }",
-        );
-        let mut f = Vec::new();
-        check_epoch_seqcst("arena.rs", &src, &mut f);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn layering_gate() {
-        let bad = Scrubbed::new("fn maintain(&self) { let _g = self.cache.lock_shard(0); }");
-        let mut f = Vec::new();
-        check_arena_layering("arena.rs", &bad, &mut f);
-        assert_eq!(f.len(), 1);
-        let ok = Scrubbed::new("fn maintain(&self) { self.limbo.lock(); }");
-        let mut f = Vec::new();
-        check_arena_layering("arena.rs", &ok, &mut f);
-        assert!(f.is_empty());
-    }
 
     #[test]
     fn ticket_gate() {

@@ -2,8 +2,7 @@
 //!
 //! A dependency-free static-analysis pass over the whole Rust tree
 //! (token-level lexer, no `syn`), run from CI as
-//! `cargo run -p ward -- --check`. It replaces and extends the old
-//! `scripts/lint_concurrency.py` regex gates with *cross-site* checks:
+//! `cargo run -p ward -- --check`. Its checks are *cross-site*:
 //!
 //! 1. **Lock-order graph** ([`locks`]): every `Mutex`/`RwLock`
 //!    declaration carries `// lock-rank: <name> <n>`; nested
@@ -15,10 +14,9 @@
 //! 3. **Counter plumbing** ([`counters`]): every `AllocStats` counter
 //!    and `FaultSnapshot` field must reach the reporting surfaces, and
 //!    every `SimResult` integer must be listed in `named_counters`.
-//! 4. **Ported gates** ([`gates`], [`unsafety`]): ordering
-//!    justifications, the unsafe audit (full-comment capture), the
-//!    arena exhaustion/epoch/layering rules, cache ascending-shard
-//!    order, and `IoTicket` minting.
+//! 4. **Per-site gates** ([`gates`], [`unsafety`]): ordering
+//!    justifications, the unsafe audit (full-comment capture), cache
+//!    ascending-shard order, and `IoTicket` minting.
 //!
 //! Findings carry stable content-derived IDs; `baseline.txt` suppresses
 //! known accepted findings; `results/ward.json` is the machine-readable
@@ -192,28 +190,6 @@ pub fn scan_workspace(root: &Path) -> Scan {
             "missing",
         ));
     }
-    for rel in [
-        "crates/alligator/src/arena.rs",
-        "crates/alligator/src/treiber.rs",
-    ] {
-        match by_rel(rel) {
-            Some(src) => {
-                gates::check_no_exhaustion_aborts(rel, src, &mut findings);
-                if rel.ends_with("arena.rs") {
-                    gates::check_epoch_seqcst(rel, src, &mut findings);
-                    gates::check_arena_layering(rel, src, &mut findings);
-                }
-            }
-            None => findings.push(Finding::new(
-                "arena-abort",
-                rel,
-                0,
-                format!("{rel} missing — arena gates skipped"),
-                "missing",
-            )),
-        }
-    }
-
     // Counter plumbing across the four surfaces.
     let need = [
         "crates/alligator/src/stats.rs",

@@ -12,8 +12,7 @@
 //! The analysis is intra-procedural and lexical: a guard bound with
 //! `let g = …lock()` lives to the end of its block (or an explicit
 //! `drop(g)`); an unbound `…lock()` temporary dies at its statement's
-//! `;`. Cross-function holds are covered by the layering gates (e.g.
-//! the arena-below-cache rule), not the graph.
+//! `;`. Cross-function holds are not tracked by the graph.
 
 use crate::report::Finding;
 use crate::scrub::{
@@ -23,7 +22,7 @@ use crate::scrub::{
 /// One ranked lock declaration.
 #[derive(Debug, Clone)]
 pub struct LockDecl {
-    /// Global rank name (`cache.publish`).
+    /// Global rank name (`cache.shard`).
     pub name: String,
     /// Rank number; smaller acquires first.
     pub rank: u32,

@@ -191,31 +191,7 @@ pub fn run(fixtures: &Path) -> Vec<CaseResult> {
         }),
     ));
 
-    // 8. Exhaustion abort.
-    out.push(case(
-        "exhaustion_abort",
-        "arena-abort",
-        1,
-        load(fixtures, "exhaustion_abort.rs").map(|src| {
-            let mut f = Vec::new();
-            gates::check_no_exhaustion_aborts("crates/alligator/src/arena.rs", &src, &mut f);
-            f
-        }),
-    ));
-
-    // 9. Weakened epoch-protocol atomic.
-    out.push(case(
-        "weak_epoch",
-        "epoch-seqcst",
-        1,
-        load(fixtures, "weak_epoch.rs").map(|src| {
-            let mut f = Vec::new();
-            gates::check_epoch_seqcst("crates/alligator/src/arena.rs", &src, &mut f);
-            f
-        }),
-    ));
-
-    // 10. Ascending-shard proof lost.
+    // 8. Ascending-shard proof lost.
     out.push(case(
         "cache_order",
         "cache-order",

@@ -16,8 +16,8 @@ fn fixtures() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures"))
 }
 
-/// Every `--self-test` case passes: each of the ten seeded violations
-/// is detected and both clean corpora stay silent.
+/// Every `--self-test` case passes: each of the nine seeded violations
+/// is detected and the three clean corpora stay silent.
 #[test]
 fn selftest_suite_is_all_green() {
     let results = selftest::run(fixtures());
