@@ -71,18 +71,19 @@ fn fill_until_full_stripes(
     generation: u64,
     want: usize,
 ) {
-    for extra in 1..=EXTRA_FILLS {
+    let mut extra = 0;
+    loop {
         let refs: BTreeSet<u64> = image_refs(fs, vol).into_keys().collect();
         if full_stripes(fs, &refs).len() >= want {
             return;
         }
+        assert!(
+            extra < EXTRA_FILLS,
+            "fewer than {want} fully referenced stripes after {EXTRA_FILLS} extra fills"
+        );
+        extra += 1;
         fill_files(fs, vol, extra * files..(extra + 1) * files, generation);
     }
-    let refs: BTreeSet<u64> = image_refs(fs, vol).into_keys().collect();
-    assert!(
-        full_stripes(fs, &refs).len() >= want,
-        "fewer than {want} fully referenced stripes after {EXTRA_FILLS} extra fills"
-    );
 }
 
 /// vbn → expected stamp for every file block the committed image
