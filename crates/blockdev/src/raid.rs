@@ -74,6 +74,10 @@ pub struct RaidGroup {
     parity: Vec<Arc<Drive>>,
     counters: ParityModel,
     policy: RetryPolicy,
+    /// Serializes writes that touch a partial stripe: their parity reads
+    /// the stripe's other blocks, so two concurrent writers of one
+    /// stripe would each fold in the other's old block.
+    rmw: parking_lot::Mutex<()>, // lock-rank: raid.rmw 69
 }
 
 impl RaidGroup {
@@ -99,6 +103,7 @@ impl RaidGroup {
             parity,
             counters: ParityModel::default(),
             policy: RetryPolicy::default(),
+            rmw: parking_lot::Mutex::new(()),
         }
     }
 
@@ -271,6 +276,12 @@ impl RaidGroup {
         }
 
         let width = self.width();
+        // Held to the end, across the data and parity writes: a
+        // read-modify-write must see every earlier writer's blocks.
+        let _rmw = stripes
+            .values()
+            .any(|&covered| covered != width)
+            .then(|| self.rmw.lock());
         let mut parity_reads = 0u64;
         let mut parity_updates: BTreeMap<u64, BlockStamp> = BTreeMap::new();
 
@@ -639,6 +650,33 @@ mod tests {
         let w2 = vec![BTreeMap::from([(0u64, 0x33_u128)]), BTreeMap::new()];
         g.write(&w2).unwrap();
         g.verify_parity(0, 1).unwrap();
+    }
+
+    #[test]
+    fn concurrent_partial_writes_to_one_stripe_keep_parity() {
+        // Two writers, each overwriting its own drive's blocks of the
+        // same 256 stripes in one write, released together by a barrier
+        // before every round: without read-modify-write exclusion a
+        // parity update can fold in the other writer's old block.
+        let g = Arc::new(rg(2));
+        let step = Arc::new(std::sync::Barrier::new(2));
+        let writers: Vec<_> = (0..2usize)
+            .map(|drive| {
+                let (g, step) = (Arc::clone(&g), Arc::clone(&step));
+                std::thread::spawn(move || {
+                    for round in 0..50u128 {
+                        let mut maps = vec![BTreeMap::new(), BTreeMap::new()];
+                        maps[drive] = (0..256u64).map(|d| (d, round << 8 | d as u128)).collect();
+                        step.wait();
+                        g.write(&maps).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        g.verify_parity(0, 256).unwrap();
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!    inode's CP workload (in-memory COW boundary);
 //! 2. **clean** — partition into cleaner messages (region split +
 //!    batching) and run them on the [`CleanerPool`];
-//! 3. **apply** — install cleaned block locations into the inodes;
+//! 3. **apply** — install cleaned block locations into the inodes
+//!    (copying each block-map leaf the committed image still shares,
+//!    once), then drop the frozen buffers reads fell back on;
 //! 4. **metafile flush** — the allocation metafiles dirtied by this CP's
 //!    commits and frees are themselves write-allocated and written, to a
 //!    bounded fix-point ("any metafile updates made on behalf of a CP
@@ -28,9 +30,10 @@
 //! 5. **commit** — atomically publish the new [`DiskImage`] superblock
 //!    and discard the in-flight NVLog half.
 
+use crate::blockmap::BlockMap;
 use crate::cleaner::{partition_work, CleanerPool};
 use crate::config::FsConfig;
-use crate::inode::{BlockPtr, FileId};
+use crate::inode::FileId;
 use crate::nvlog::NvLog;
 use crate::snapshot::Snapshot;
 use crate::volume::{Volume, VolumeId};
@@ -100,6 +103,12 @@ impl MetafileLocs {
 /// The point-in-time on-disk image committed by a CP: what the superblock
 /// roots. (Real WAFL serializes this state into metafile/inodefile blocks;
 /// the simulation snapshots it logically — see DESIGN.md §3.)
+///
+/// Building one costs what the CP dirtied, not the size of the file
+/// system: each file's [`BlockMap`] is cloned one `Arc` per leaf, so the
+/// image shares every leaf with the live inodes (and with the previous
+/// image and the snapshots). The next CP's apply copies a shared leaf the
+/// first time it writes into it, which leaves this image untouched.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DiskImage {
     /// CP sequence number.
@@ -120,7 +129,7 @@ pub struct VolumeImage {
     /// VVBN space size.
     pub vvbn_total: u64,
     /// Every file with its committed block map.
-    pub files: Vec<(FileId, Vec<(u64, BlockPtr)>)>,
+    pub files: Vec<(FileId, BlockMap)>,
     /// Retained snapshots (part of the on-disk state: a snapshot is a
     /// kept CP image).
     pub snapshots: Vec<Snapshot>,
@@ -208,8 +217,8 @@ pub struct CpReport {
     pub metafile_ns: u64,
     /// Phase 5a wall time (async-I/O drain / media fsync barrier).
     pub barrier_ns: u64,
-    /// Phase 5b wall time (disk-image build + superblock commit +
-    /// NVLog half-swap).
+    /// Phase 5b wall time (disk-image build — one `Arc` clone per
+    /// block-map leaf — + superblock commit + NVLog half-swap).
     pub commit_ns: u64,
     /// Whole-CP wall time, measured around all phases. The per-phase
     /// times are nested inside this span, so
@@ -357,6 +366,8 @@ fn run_cp_inner(
             frozen.push((Arc::clone(v), file, buffers));
         }
     }
+    let frozen_files: Vec<(Arc<Volume>, FileId)> =
+        frozen.iter().map(|(v, f, _)| (Arc::clone(v), *f)).collect();
     report.inodes_cleaned = frozen.len();
     report.buffers_cleaned = frozen.iter().map(|(_, _, b)| b.len()).sum();
     drop(sp1);
@@ -397,6 +408,13 @@ fn run_cp_inner(
         let vol = by_vol[&r.vol];
         if let Some(inode) = vol.inode(r.file) {
             inode.lock().apply_cleaned(&r.cleaned);
+        }
+    }
+    // Every frozen buffer is in its block map now; reads stop looking
+    // at the CP's copy.
+    for (v, f) in &frozen_files {
+        if let Some(inode) = v.inode(*f) {
+            inode.lock().end_cp();
         }
     }
     // All bucket commits and staged frees must reach the metafiles before
@@ -456,12 +474,7 @@ fn run_cp_inner(
                     .into_iter()
                     .map(|f| {
                         let inode = v.inode(f).expect("listed file exists");
-                        let map = inode
-                            .lock()
-                            .block_map()
-                            .iter()
-                            .map(|(k, p)| (*k, *p))
-                            .collect();
+                        let map = inode.lock().block_map().clone();
                         (f, map)
                     })
                     .collect(),

@@ -606,31 +606,22 @@ impl Filesystem {
                 // create_volume logged nothing; recovery-internal.
                 let v = fs.volume(vi.id).expect("just created");
                 let mut adopted_vvbn = std::collections::HashSet::new();
-                for (file, blocks) in &vi.files {
+                for (file, map) in &vi.files {
                     v.create_file(*file);
-                    let inode = v.inode(*file).expect("just created");
-                    let cleaned: Vec<crate::buffer::CleanedBlock> = blocks
-                        .iter()
-                        .map(|(fbn, ptr)| crate::buffer::CleanedBlock {
-                            fbn: *fbn,
-                            vvbn: ptr.vvbn,
-                            pvbn: ptr.pvbn,
-                            stamp: ptr.stamp,
-                        })
-                        .collect();
-                    inode.lock().apply_cleaned(&cleaned);
-                    for c in &cleaned {
-                        if adopted_pvbn.insert(c.pvbn) {
+                    for (_fbn, ptr) in map {
+                        if adopted_pvbn.insert(ptr.pvbn) {
                             fs.alloc
                                 .infra()
                                 .aggmap()
-                                .adopt_used(c.pvbn)
+                                .adopt_used(ptr.pvbn)
                                 .expect("image references a free VBN twice");
                         }
-                        if adopted_vvbn.insert(c.vvbn) {
-                            v.vvbn().adopt(c.vvbn);
+                        if adopted_vvbn.insert(ptr.vvbn) {
+                            v.vvbn().adopt(ptr.vvbn);
                         }
                     }
+                    let inode = v.inode(*file).expect("just created");
+                    inode.lock().install_block_map(map.clone());
                 }
                 // Snapshots: restore and adopt blocks the active maps no
                 // longer reference.
@@ -1160,6 +1151,92 @@ mod tests {
         }
         assert!(r.io().rebuild_offline() > 0, "the failed drive rebuilds");
         r.verify_integrity().unwrap();
+    }
+
+    /// Commit and snapshots clone one `Arc` per block-map leaf: after an
+    /// overwrite of one block, the new image shares every other leaf with
+    /// the held one, and the held image's pointers never change.
+    #[test]
+    fn images_and_snapshots_share_untouched_block_map_leaves() {
+        use crate::blockmap::BlockMap;
+        use crate::inode::BlockPtr;
+        use wafl_blockdev::{stamp, Vbn};
+        const BLOCKS: u64 = 64 * 1024;
+        let cfg = FsConfig {
+            vvbn_per_volume: 1 << 18,
+            ..Default::default()
+        };
+        let fs = Filesystem::new(
+            cfg,
+            GeometryBuilder::new()
+                .aa_stripes(64)
+                .raid_group(3, 1, 1 << 17)
+                .build(),
+            DriveKind::Ssd,
+            ExecMode::Inline,
+        );
+        let (vol, file) = (VolumeId(0), FileId(1));
+        fs.create_volume(vol);
+        fs.create_file(vol, file);
+        for fbn in 0..BLOCKS {
+            fs.write(vol, file, fbn, stamp(1, fbn, 1));
+        }
+        fs.run_cp();
+        let pointers =
+            |m: &BlockMap| -> Vec<(u64, BlockPtr)> { m.iter().map(|(f, p)| (f, *p)).collect() };
+        let leaves = (BLOCKS / 64) as usize;
+
+        // Commit: CP n+1 rewrites one block, so one leaf.
+        let held = fs.committed_image().expect("CP committed");
+        let held_map = &held.volumes[0].files[0].1;
+        let held_ptrs = pointers(held_map);
+        fs.write(vol, file, 777, stamp(1, 777, 2));
+        fs.run_cp();
+        let next = fs.committed_image().expect("CP committed");
+        let next_map = &next.volumes[0].files[0].1;
+        assert_eq!(pointers(held_map), held_ptrs, "held image unchanged");
+        assert_eq!(next_map.get(777).map(|p| p.stamp), Some(stamp(1, 777, 2)));
+        assert_eq!(next_map.leaf_count(), leaves);
+        assert_eq!(next_map.shared_leaves(held_map), leaves - 1);
+
+        // Snapshot: overwrites copy only the leaves they touch.
+        assert!(fs.create_snapshot(vol, "s"));
+        let v = fs.volume(vol).expect("volume exists");
+        let snap = v.snapshots().get("s").expect("snapshot exists");
+        let snap_map = &snap.files[&file];
+        let snap_ptrs = pointers(snap_map);
+        let overwritten = [5u64, 6, 4000];
+        for fbn in overwritten {
+            fs.write(vol, file, fbn, stamp(1, fbn, 3));
+        }
+        fs.run_cp();
+        assert_eq!(pointers(snap_map), snap_ptrs, "snapshot unchanged");
+        let live = v
+            .inode(file)
+            .expect("file exists")
+            .lock()
+            .block_map()
+            .clone();
+        assert_eq!(live.shared_leaves(snap_map), leaves - 2);
+        let image = fs.committed_image().expect("CP committed");
+        let image_snap = &image.volumes[0].snapshots[0].files[&file];
+        assert_eq!(
+            image_snap.shared_leaves(snap_map),
+            leaves,
+            "image shares the snapshot"
+        );
+
+        // Deleting the snapshot reclaims exactly the overwritten blocks.
+        let doomed: Vec<Vbn> = overwritten
+            .iter()
+            .map(|&f| snap_map.get(f).expect("mapped").pvbn)
+            .collect();
+        assert_eq!(fs.delete_snapshot(vol, "s"), Some(overwritten.len()));
+        let aggmap = fs.allocator().infra().aggmap();
+        assert!(doomed.iter().all(|&b| !aggmap.is_used(b)));
+        assert!(aggmap.is_used(live.get(7).expect("mapped").pvbn));
+        fs.run_cp();
+        fs.verify_integrity().unwrap();
     }
 
     #[test]

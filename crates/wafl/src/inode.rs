@@ -14,8 +14,11 @@
 //! start, so writes that arrive during the CP dirty the (new, empty)
 //! front map and are persisted by the *next* CP — exactly the paper's
 //! semantics, with the copy made eagerly at the snapshot boundary instead
-//! of lazily per object.
+//! of lazily per object. The frozen buffers stay readable until the CP's
+//! apply phase has installed them ([`Inode::end_cp`]), so a read during
+//! a CP never falls back to the pre-CP block.
 
+use crate::blockmap::BlockMap;
 use crate::buffer::{CleanedBlock, DirtyBuffer};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -41,10 +44,13 @@ pub struct BlockPtr {
 pub struct Inode {
     id: FileId,
     /// Persistent block map: fbn → current on-disk location. Updated only
-    /// by CP apply; this is the state the superblock commit snapshots.
-    block_map: BTreeMap<u64, BlockPtr>,
+    /// by CP apply; the superblock commit shares its leaves.
+    block_map: BlockMap,
     /// Front dirty buffers: modified since the last CP freeze.
     front: BTreeMap<u64, DirtyBuffer>,
+    /// `(fbn, stamp)` of the in-flight CP's buffers, sorted by fbn, kept
+    /// for reads until its apply ends.
+    frozen: Vec<(u64, BlockStamp)>,
     /// Highest fbn ever written + 1 (a simple size proxy).
     size_fbns: u64,
 }
@@ -54,8 +60,9 @@ impl Inode {
     pub fn new(id: FileId) -> Self {
         Self {
             id,
-            block_map: BTreeMap::new(),
+            block_map: BlockMap::new(),
             front: BTreeMap::new(),
+            frozen: Vec::new(),
             size_fbns: 0,
         }
     }
@@ -86,8 +93,14 @@ impl Inode {
 
     /// The persistent block map (CP-committed state).
     #[inline]
-    pub fn block_map(&self) -> &BTreeMap<u64, BlockPtr> {
+    pub fn block_map(&self) -> &BlockMap {
         &self.block_map
+    }
+
+    /// Recovery: adopt a committed image's block map wholesale (its
+    /// leaves stay shared with the image until a CP touches them).
+    pub(crate) fn install_block_map(&mut self, map: BlockMap) {
+        self.block_map = map;
     }
 
     /// Record a client write of `stamp` at `fbn`. Captures the block's
@@ -99,7 +112,7 @@ impl Inode {
         match self.front.get_mut(&fbn) {
             Some(existing) => existing.stamp = stamp,
             None => {
-                let buf = match self.block_map.get(&fbn) {
+                let buf = match self.block_map.get(fbn) {
                     Some(ptr) => DirtyBuffer::overwrite(fbn, stamp, ptr.vvbn, ptr.pvbn),
                     None => DirtyBuffer::first_write(fbn, stamp),
                 };
@@ -109,17 +122,21 @@ impl Inode {
     }
 
     /// Read the current logical contents of `fbn`: dirty front data wins
-    /// over the persistent map. Returns `None` for holes.
+    /// over the in-flight CP's buffers, which win over the persistent
+    /// map. Returns `None` for holes.
     pub fn read(&self, fbn: u64) -> Option<BlockStamp> {
         if let Some(b) = self.front.get(&fbn) {
             return Some(b.stamp);
         }
-        self.block_map.get(&fbn).map(|p| p.stamp)
+        if let Ok(i) = self.frozen.binary_search_by_key(&fbn, |&(f, _)| f) {
+            return Some(self.frozen[i].1);
+        }
+        self.block_map.get(fbn).map(|p| p.stamp)
     }
 
     /// The persisted location of `fbn`, if any (ignores dirty data).
     pub fn lookup(&self, fbn: u64) -> Option<BlockPtr> {
-        self.block_map.get(&fbn).copied()
+        self.block_map.get(fbn).copied()
     }
 
     /// Truncate the file to `new_size_fbns` blocks. Returns
@@ -129,24 +146,30 @@ impl Inode {
     /// size are simply dropped (they were never allocated).
     pub fn truncate(&mut self, new_size_fbns: u64) -> Vec<(u64, u64, Vbn)> {
         self.front.retain(|&fbn, _| fbn < new_size_fbns);
-        let doomed: Vec<u64> = self
+        self.frozen.retain(|&(fbn, _)| fbn < new_size_fbns);
+        let freed = self
             .block_map
-            .range(new_size_fbns..)
-            .map(|(&fbn, _)| fbn)
+            .split_off(new_size_fbns)
+            .iter()
+            .map(|(fbn, ptr)| (fbn, ptr.vvbn, ptr.pvbn))
             .collect();
-        let mut freed = Vec::with_capacity(doomed.len());
-        for fbn in doomed {
-            let ptr = self.block_map.remove(&fbn).expect("listed key");
-            freed.push((fbn, ptr.vvbn, ptr.pvbn));
-        }
         self.size_fbns = self.size_fbns.min(new_size_fbns);
         freed
     }
 
     /// CP start: take the front dirty buffers as this CP's workload. New
-    /// writes after this call land in a fresh front map (in-memory COW).
+    /// writes after this call land in a fresh front map (in-memory COW);
+    /// reads keep seeing the taken buffers until [`Inode::end_cp`].
     pub fn freeze_for_cp(&mut self) -> Vec<DirtyBuffer> {
-        std::mem::take(&mut self.front).into_values().collect()
+        let buffers: Vec<DirtyBuffer> = std::mem::take(&mut self.front).into_values().collect();
+        self.frozen = buffers.iter().map(|b| (b.fbn, b.stamp)).collect();
+        buffers
+    }
+
+    /// CP apply has ended: the persistent map now holds every buffer
+    /// [`Inode::freeze_for_cp`] took, so drop the read-side copy.
+    pub(crate) fn end_cp(&mut self) {
+        self.frozen = Vec::new();
     }
 
     /// CP apply: install cleaned locations into the persistent block map.

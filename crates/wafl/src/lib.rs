@@ -24,6 +24,9 @@
 //! * [`fs::Filesystem`] — the top-level object: aggregate + volumes +
 //!   NVLog + CP engine; the public API a downstream user programs against;
 //! * [`volume::Volume`], [`inode::Inode`], [`buffer::DirtyBuffer`];
+//! * [`blockmap::BlockMap`] — a file's block map as copy-on-write
+//!   64-entry leaves, shared between the live inode, the committed image
+//!   and snapshots;
 //! * [`vvbn::VvbnSpace`] — chunked Virtual-VBN allocation per volume ("a
 //!   version of this infrastructure is reused to write allocate Virtual
 //!   VBNs within FlexVol volumes", §IV-D);
@@ -42,6 +45,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod blockmap;
 pub mod buffer;
 pub mod cleaner;
 pub mod config;
@@ -56,6 +60,7 @@ pub mod tuner;
 pub mod volume;
 pub mod vvbn;
 
+pub use blockmap::BlockMap;
 pub use buffer::DirtyBuffer;
 pub use cleaner::{CleanItem, CleanerConfig, CleanerPool};
 pub use config::FsConfig;

@@ -466,7 +466,7 @@ fn build_confirm_refs(fs: &Filesystem) -> BTreeMap<u64, Option<BlockStamp>> {
     for v in fs.volumes() {
         for f in v.file_ids() {
             if let Some(ino) = v.inode(f) {
-                for ptr in ino.lock().block_map().values() {
+                for (_fbn, ptr) in ino.lock().block_map() {
                     refs.insert(ptr.pvbn.0, Some(ptr.stamp));
                 }
             }

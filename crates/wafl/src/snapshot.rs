@@ -14,6 +14,7 @@
 //! reclaims exactly the blocks no other image references (the province of
 //! the paper's free-space-reclamation citation [10]).
 
+use crate::blockmap::BlockMap;
 use crate::inode::{BlockPtr, FileId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -27,8 +28,9 @@ pub struct Snapshot {
     pub name: String,
     /// The CP whose image this snapshot retains.
     pub cp_id: u64,
-    /// Per-file committed block maps at snapshot time.
-    pub files: BTreeMap<FileId, BTreeMap<u64, BlockPtr>>,
+    /// Per-file committed block maps at snapshot time (leaves shared
+    /// with the active file system until a CP overwrites them).
+    pub files: BTreeMap<FileId, BlockMap>,
 }
 
 impl Snapshot {
@@ -38,14 +40,14 @@ impl Snapshot {
     pub fn references(&self, file: FileId, fbn: u64, pvbn: Vbn) -> bool {
         self.files
             .get(&file)
-            .and_then(|m| m.get(&fbn))
+            .and_then(|m| m.get(fbn))
             .map(|p| p.pvbn == pvbn)
             .unwrap_or(false)
     }
 
     /// Look up a block's snapshot-time location.
     pub fn lookup(&self, file: FileId, fbn: u64) -> Option<BlockPtr> {
-        self.files.get(&file).and_then(|m| m.get(&fbn)).copied()
+        self.files.get(&file).and_then(|m| m.get(fbn)).copied()
     }
 
     /// Total blocks referenced by the snapshot.
@@ -57,7 +59,7 @@ impl Snapshot {
     pub fn iter_blocks(&self) -> impl Iterator<Item = (FileId, u64, BlockPtr)> + '_ {
         self.files
             .iter()
-            .flat_map(|(f, m)| m.iter().map(move |(fbn, p)| (*f, *fbn, *p)))
+            .flat_map(|(f, m)| m.iter().map(move |(fbn, p)| (*f, fbn, *p)))
     }
 }
 
@@ -125,7 +127,7 @@ impl SnapshotSet {
         }
     }
 
-    /// Plain clones for the superblock image.
+    /// Clones for the superblock image: one `Arc` per block-map leaf.
     pub fn snapshot_images(&self) -> Vec<Snapshot> {
         self.snaps.read().iter().map(|s| (**s).clone()).collect()
     }
@@ -137,7 +139,7 @@ mod tests {
 
     fn snap(name: &str, file: u64, fbn: u64, pvbn: u64) -> Snapshot {
         let mut files = BTreeMap::new();
-        let mut m = BTreeMap::new();
+        let mut m = BlockMap::new();
         m.insert(
             fbn,
             BlockPtr {

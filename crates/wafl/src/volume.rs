@@ -194,8 +194,10 @@ impl Volume {
     }
 
     /// Build a snapshot of the *committed* state under `name` (caller
-    /// ensures a CP ran just before, so the image is current). Returns
-    /// `false` if the name exists.
+    /// ensures a CP ran just before, so the image is current). The
+    /// snapshot shares every block-map leaf with the inodes; a CP copies
+    /// a leaf only when it overwrites a block in it. Returns `false` if
+    /// the name exists.
     pub fn take_snapshot(&self, name: &str, cp_id: u64) -> bool {
         let mut files = std::collections::BTreeMap::new();
         for f in self.file_ids() {

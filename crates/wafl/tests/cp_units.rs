@@ -4,7 +4,8 @@
 
 use wafl::cp::MetafileSrc;
 use wafl::{
-    DiskImage, ExecMode, FileId, Filesystem, FsConfig, MetafileLocs, SuperblockStore, VolumeId,
+    CrashPoint, DiskImage, ExecMode, FileId, Filesystem, FsConfig, MetafileLocs, SuperblockStore,
+    VolumeId,
 };
 use wafl_blockdev::{stamp, DriveKind, GeometryBuilder, Vbn};
 
@@ -119,6 +120,35 @@ fn metafile_flush_converges_within_bound() {
         "residual dirt bounded: {}",
         r.residual_dirty_dropped
     );
+}
+
+/// A read during a CP sees the buffers the CP froze: until apply
+/// installs them, an overwritten block must not read back its pre-CP
+/// stamp, nor a first write read back as a hole.
+#[test]
+fn reads_during_a_cp_see_its_frozen_buffers() {
+    let (vol, file) = (VolumeId(0), FileId(1));
+    for at in [CrashPoint::AfterFreeze, CrashPoint::AfterClean] {
+        let f = fs();
+        f.create_volume(vol);
+        f.create_file(vol, file);
+        f.write(vol, file, 0, stamp(1, 0, 1));
+        f.run_cp();
+        f.write(vol, file, 0, stamp(1, 0, 2));
+        f.write(vol, file, 1, stamp(1, 1, 2));
+        // The crash stops the CP between freeze/clean and apply.
+        f.run_cp_crash_at(at);
+        assert_eq!(
+            f.read(vol, file, 0),
+            Some(stamp(1, 0, 2)),
+            "overwrite, {at:?}"
+        );
+        assert_eq!(
+            f.read(vol, file, 1),
+            Some(stamp(1, 1, 2)),
+            "first write, {at:?}"
+        );
+    }
 }
 
 #[test]

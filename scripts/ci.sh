@@ -41,6 +41,14 @@ echo "=== model checker: mc suite (10k schedules/invariant, debug assertions) ==
 MC_SCHEDULES=10000 RUSTFLAGS="-C debug-assertions=on" \
   cargo test --release -q -p mc
 
+echo "=== perfbench self-tests (the repo benchmark builds against this tree) ==="
+# perfbench/ is a Cargo package of its own, outside the workspace, so
+# nothing above builds it. Its self-tests drive the real Filesystem at
+# tiny sizes: every workload emits every BENCHMARK.json metric, a
+# planted lost write is caught, a program panic fails the run. A wafl
+# API change that breaks the benchmark fails here, not at benchmark time.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "=== cargo clippy --all-targets -- -D warnings ==="
 cargo clippy --all-targets -- -D warnings
 
