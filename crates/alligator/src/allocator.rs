@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use waffinity::{Affinity, Topology};
-use wafl_blockdev::{IoEngine, Vbn};
+use wafl_blockdev::{DriveId, IoEngine, Vbn};
 use wafl_metafile::{AggregateMap, BITS_PER_MF_BLOCK};
 
 /// The White Alligator write allocator for one aggregate.
@@ -91,11 +91,22 @@ impl Allocator {
         // cache_shards == 0 → one shard per data drive, so every bucket
         // built by a refill round has a dedicated queue and cleaners with
         // distinct affinities never share a lock on the GET fast path.
+        let geo = aggmap.geometry();
         let nshards = match cfg.cache_shards {
-            0 => aggmap.geometry().total_data_drives() as usize,
+            0 => geo.total_data_drives() as usize,
             n => n,
         };
-        let cache = Arc::new(BucketCache::with_shards(nshards, Arc::clone(&stats)));
+        // Shard s serves drive s (and, with fewer shards than drives,
+        // every drive congruent to s): it belongs to drive s's RAID group.
+        let groups = (0..nshards)
+            .map(|s| {
+                geo.raid_groups()
+                    .iter()
+                    .position(|g| g.data_drives.contains(&DriveId(s as u32)))
+                    .unwrap_or(0)
+            })
+            .collect();
+        let cache = Arc::new(BucketCache::with_groups(groups, Arc::clone(&stats)));
         let infra = Infrastructure::new(cfg, aggmap, io, Arc::clone(&stats));
         Arc::new(Self {
             cfg,

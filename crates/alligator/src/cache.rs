@@ -20,7 +20,9 @@
 //!   fullest-first keeps per-drive consumption — and therefore
 //!   per-drive fill progress, DESIGN.md invariant 7 — balanced for any
 //!   number of cleaners. "Fullest" comes from an O(nshards) scan of
-//!   per-shard fill counters, which are atomics read without locks;
+//!   per-shard fill counters, which are atomics read without locks.
+//!   Ties go to home, then to the shards of home's RAID group, so a CP
+//!   smaller than a refill round fills whole stripes in one group;
 //! * FIFO order within a shard pops the oldest refill round first, so
 //!   no round's tetris is left permanently partial;
 //! * [`BucketCache::insert_all`] publishes a refill batch
@@ -77,6 +79,9 @@ impl Shard {
 #[derive(Debug)]
 pub struct BucketCache {
     shards: Box<[Shard]>,
+    /// RAID group of each shard's drive: equal-fill steals stay in the
+    /// getter's home group first.
+    groups: Box<[usize]>,
     /// Total buckets across all shards (lock-free `len`/`is_empty`).
     len: AtomicUsize,
     /// Getters currently parked anywhere (gate for cross-shard wakeups).
@@ -103,8 +108,15 @@ impl BucketCache {
     /// shard per data drive gives every refilled bucket of a round its
     /// own queue.
     pub fn with_shards(nshards: usize, stats: Arc<AllocStats>) -> Self {
+        Self::with_groups(vec![0; nshards.max(1)], stats)
+    }
+
+    /// Cache with one shard per entry of `groups` (non-empty), each entry
+    /// naming the RAID group of that shard's drive.
+    pub(crate) fn with_groups(groups: Vec<usize>, stats: Arc<AllocStats>) -> Self {
         Self {
-            shards: (0..nshards.max(1)).map(|_| Shard::new()).collect(),
+            shards: groups.iter().map(|_| Shard::new()).collect(),
+            groups: groups.into(),
             len: AtomicUsize::new(0),
             waiters: AtomicUsize::new(0),
             stats,
@@ -166,16 +178,28 @@ impl BucketCache {
         g
     }
 
-    /// The fullest shard, preferring `home` on ties: the equal-progress
-    /// GET target.
-    fn fullest_from(&self, home: usize) -> usize {
+    /// Every shard but `home`, in the order a getter homed there breaks
+    /// equal-fill ties: the rest of home's RAID group, then the other
+    /// groups, each nearest-after-home first. Keeping a small CP's steals
+    /// in one group lets it fill whole stripes there, rather than part
+    /// of a stripe in each group.
+    fn steal_order(&self, home: usize) -> impl Iterator<Item = usize> + '_ {
         let n = self.shards.len();
+        let group = self.groups[home];
+        let after = move |d: usize| (home + d) % n;
+        let same = (1..n).map(after).filter(move |&s| self.groups[s] == group);
+        let other = (1..n).map(after).filter(move |&s| self.groups[s] != group);
+        same.chain(other)
+    }
+
+    /// The fullest shard, preferring `home`, then [`Self::steal_order`],
+    /// on ties: the equal-progress GET target.
+    fn fullest_from(&self, home: usize) -> usize {
         let mut target = home;
         // ordering: Acquire — fill scan pairs with Release fill updates;
         // pairs-with: cache.fill.
         let mut best = self.shards[home].fill.load(Ordering::Acquire);
-        for d in 1..n {
-            let s = (home + d) % n;
+        for s in self.steal_order(home) {
             // ordering: Acquire — as above; pairs-with: cache.fill.
             let f = self.shards[s].fill.load(Ordering::Acquire);
             if f > best {
@@ -309,10 +333,9 @@ impl BucketCache {
             return Some(b);
         }
         // Raced with other getters since the fill scan: fall back to a
-        // plain round-robin sweep so `None` still means "every shard was
+        // sweep of every shard so `None` still means "every shard was
         // empty at probe time".
-        for d in 0..n {
-            let s = (home + d) % n;
+        for s in std::iter::once(home).chain(self.steal_order(home)) {
             if s == target {
                 continue;
             }
@@ -596,6 +619,31 @@ mod tests {
         // ordering: test-only stats read.
         assert_eq!(stats.cache_get_steal.load(Ordering::Relaxed), 1);
         assert!(c.try_get_from(0).is_none());
+    }
+
+    #[test]
+    fn equal_fill_steals_stay_in_home_raid_group() {
+        // Shards 0–2 are RAID group 0, shards 3–5 group 1; one bucket
+        // each, as a refill round leaves them.
+        let c = BucketCache::with_groups(vec![0, 0, 0, 1, 1, 1], Arc::new(AllocStats::default()));
+        for d in 0..6u32 {
+            c.insert(mk_bucket_on(d, u64::from(d) * 10));
+        }
+        let drives: Vec<u32> = (0..3)
+            .map(|_| c.try_get_from(1).unwrap().drive().0)
+            .collect();
+        assert_eq!(drives, vec![1, 2, 0], "home, then its group nearest first");
+        // Group 0 is dry: the steal crosses to group 1, nearest first.
+        assert_eq!(c.try_get_from(1).unwrap().drive(), DriveId(3));
+        // A group-1 getter takes home, then wraps within its group.
+        let c = BucketCache::with_groups(vec![0, 0, 0, 1, 1, 1], Arc::new(AllocStats::default()));
+        for d in 0..6u32 {
+            c.insert(mk_bucket_on(d, u64::from(d) * 10));
+        }
+        let drives: Vec<u32> = (0..3)
+            .map(|_| c.try_get_from(5).unwrap().drive().0)
+            .collect();
+        assert_eq!(drives, vec![5, 3, 4]);
     }
 
     #[test]

@@ -392,7 +392,7 @@ fn run_convoy(quick: bool) -> f64 {
         .map(|f| {
             let file = FileId(1 + f);
             vol.create_file(file);
-            let buffers: Vec<DirtyBuffer> = (0..bufs_per_file)
+            let buffers: Arc<[DirtyBuffer]> = (0..bufs_per_file)
                 .map(|fbn| DirtyBuffer::first_write(fbn, stamp(1 + f, fbn, 1)))
                 .collect();
             (Arc::clone(&vol), file, buffers)
@@ -401,10 +401,10 @@ fn run_convoy(quick: bool) -> f64 {
     let items = partition_work(frozen, &cfg);
 
     let t0 = Instant::now();
-    let results = pool.clean_all(items);
+    let mut buffers = 0u64;
+    pool.clean(items, |r| buffers += r.cleaned.len() as u64);
     alloc.drain();
     let wall_ns = t0.elapsed().as_nanos().max(1) as u64;
-    let buffers: u64 = results.iter().map(|r| r.cleaned.len() as u64).sum();
     assert_eq!(buffers, files * bufs_per_file, "every buffer cleaned");
     pool.shutdown();
     buffers as f64 / (wall_ns as f64 / 1e9)

@@ -11,16 +11,19 @@
 //!
 //! * [`partition_work`] — turns a CP's frozen dirty-inode list into
 //!   cleaner messages: large inodes are *split into regions* (multiple
-//!   cleaners per inode) and, when batching is enabled, many small inodes
-//!   are packed into one message ("batched inode cleaning allows multiple
-//!   inodes to be associated with a single message in cases when the
-//!   dirty inodes each has few dirty buffers, to reduce the message
-//!   processing overhead", §V-C);
+//!   cleaners per inode; a region is an index range of the inode's one
+//!   shared frozen slice, so nothing is copied) and, when batching is
+//!   enabled, many small inodes are packed into one message ("batched
+//!   inode cleaning allows multiple inodes to be associated with a single
+//!   message in cases when the dirty inodes each has few dirty buffers,
+//!   to reduce the message processing overhead", §V-C);
 //! * [`clean_job`] — the per-job cleaning loop: GET a bucket, USE a VBN
 //!   per dirty buffer, stage frees of overwritten blocks, PUT the bucket;
 //! * [`CleanerPool`] — a real-thread pool of cleaners with an
 //!   activatable-thread limit driven by the
-//!   [`DynamicTuner`](crate::tuner::DynamicTuner).
+//!   [`DynamicTuner`](crate::tuner::DynamicTuner). [`CleanerPool::clean`]
+//!   hands each result to the caller as it arrives, so the CP applies
+//!   it while the cleaners keep working.
 
 use crate::buffer::{CleanedBlock, DirtyBuffer};
 use crate::inode::FileId;
@@ -30,6 +33,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -92,8 +96,31 @@ pub struct CleanJob {
     pub vol: Arc<Volume>,
     /// The file being cleaned.
     pub file: FileId,
-    /// The dirty buffers of this job (the whole inode or one region).
-    pub buffers: Vec<DirtyBuffer>,
+    /// The inode's whole frozen set, shared by every job of the inode
+    /// and by its read path.
+    pub frozen: Arc<[DirtyBuffer]>,
+    /// The indices of `frozen` this job cleans (the whole inode or one
+    /// region).
+    pub range: Range<usize>,
+}
+
+impl CleanJob {
+    /// A job cleaning every buffer of `frozen`.
+    pub fn whole(vol: Arc<Volume>, file: FileId, frozen: Arc<[DirtyBuffer]>) -> Self {
+        let range = 0..frozen.len();
+        Self {
+            vol,
+            file,
+            frozen,
+            range,
+        }
+    }
+
+    /// The dirty buffers this job cleans.
+    #[inline]
+    pub fn buffers(&self) -> &[DirtyBuffer] {
+        &self.frozen[self.range.clone()]
+    }
 }
 
 /// One cleaner message: one or more jobs (more than one only when batched).
@@ -114,45 +141,47 @@ pub struct CleanResult {
     pub cleaned: Vec<CleanedBlock>,
 }
 
-/// Partition a CP's frozen work into cleaner messages.
+/// Partition a CP's frozen work into cleaner messages. A region of a
+/// large inode is an index range of its frozen slice: the split costs
+/// one job per region and copies no buffer.
 pub fn partition_work(
-    frozen: Vec<(Arc<Volume>, FileId, Vec<DirtyBuffer>)>,
+    frozen: Vec<(Arc<Volume>, FileId, Arc<[DirtyBuffer]>)>,
     cfg: &CleanerConfig,
 ) -> Vec<CleanItem> {
     let mut items = Vec::new();
     let mut batch: Vec<CleanJob> = Vec::new();
     let mut batch_buffers = 0usize;
     for (vol, file, buffers) in frozen {
-        if buffers.len() > cfg.region_split_threshold {
+        let n = buffers.len();
+        if n > cfg.region_split_threshold {
             // Large inode: split into regions, one message each, so
             // multiple cleaner threads can process it in parallel.
-            let mut rest = buffers;
-            while !rest.is_empty() {
-                let take = rest.len().min(cfg.region_size);
-                let region: Vec<DirtyBuffer> = rest.drain(..take).collect();
+            let size = cfg.region_size.max(1);
+            for start in (0..n).step_by(size) {
                 items.push(CleanItem {
                     jobs: vec![CleanJob {
                         vol: Arc::clone(&vol),
                         file,
-                        buffers: region,
+                        frozen: Arc::clone(&buffers),
+                        range: start..(start + size).min(n),
                     }],
                 });
             }
         } else if cfg.batching {
             if !batch.is_empty()
                 && (batch.len() >= cfg.batch_max_inodes
-                    || batch_buffers + buffers.len() > cfg.batch_max_buffers)
+                    || batch_buffers + n > cfg.batch_max_buffers)
             {
                 items.push(CleanItem {
                     jobs: std::mem::take(&mut batch),
                 });
                 batch_buffers = 0;
             }
-            batch_buffers += buffers.len();
-            batch.push(CleanJob { vol, file, buffers });
+            batch_buffers += n;
+            batch.push(CleanJob::whole(vol, file, buffers));
         } else {
             items.push(CleanItem {
-                jobs: vec![CleanJob { vol, file, buffers }],
+                jobs: vec![CleanJob::whole(vol, file, buffers)],
             });
         }
     }
@@ -245,7 +274,7 @@ impl CleanerCtx {
         if let Some(b) = self.bucket.take() {
             alloc.put_bucket(b);
         }
-        for b in self.prefetch.drain(..) {
+        for b in std::mem::take(&mut self.prefetch) {
             alloc.requeue_bucket(b);
         }
     }
@@ -271,9 +300,10 @@ pub fn clean_job(
     job: &CleanJob,
     vvbn_chunk: usize,
 ) -> Option<CleanResult> {
-    let mut cleaned = Vec::with_capacity(job.buffers.len());
+    let buffers = job.buffers();
+    let mut cleaned = Vec::with_capacity(buffers.len());
     let mut chunk: Option<crate::vvbn::VvbnChunkGuard<'_>> = None;
-    for buf in &job.buffers {
+    for buf in buffers {
         // Virtual VBN from the volume's chunked allocator.
         let vvbn = loop {
             if let Some(c) = chunk.as_mut() {
@@ -418,12 +448,15 @@ impl CleanerPool {
         self.shared.items_done.load(Ordering::Relaxed)
     }
 
-    /// Clean a CP's worth of items, blocking until all jobs complete.
+    /// Clean a CP's worth of items, handing each job's result to
+    /// `on_result` on the calling thread as its message completes, while
+    /// the cleaners go on with the rest. Returns once every job has been
+    /// handed over.
     ///
     /// # Panics
     /// Panics if the aggregate ran out of space mid-CP (no caller can
     /// make progress in that state).
-    pub fn clean_all(&self, items: Vec<CleanItem>) -> Vec<CleanResult> {
+    pub fn clean(&self, items: Vec<CleanItem>, mut on_result: impl FnMut(CleanResult)) {
         let (reply_tx, reply_rx) = unbounded();
         let n = items.len();
         for item in items {
@@ -435,15 +468,13 @@ impl CleanerPool {
                 .expect("cleaner pool is alive");
         }
         drop(reply_tx);
-        let mut out = Vec::new();
         for _ in 0..n {
             let results = reply_rx
                 .recv()
                 .expect("cleaner worker dropped its reply")
                 .expect("aggregate out of space during CP");
-            out.extend(results);
+            results.into_iter().for_each(&mut on_result);
         }
-        out
     }
 
     /// Plain-text metrics snapshot for the pool: every allocator counter
@@ -504,7 +535,7 @@ impl CleanerPool {
         let _g = self.shared.limit_lock.lock();
         self.shared.limit_changed.notify_all();
         drop(_g);
-        for w in self.workers.drain(..) {
+        for w in std::mem::take(&mut self.workers) {
             let _ = w.join();
         }
     }
@@ -594,6 +625,8 @@ mod tests {
     use wafl_blockdev::{DriveKind, GeometryBuilder, IoEngine};
     use wafl_metafile::AggregateMap;
 
+    // Every test allocator runs on the inline executor: infrastructure
+    // messages complete on the caller, so none is left to drain.
     fn mk_alloc() -> Arc<Allocator> {
         let geo = Arc::new(
             GeometryBuilder::new()
@@ -621,10 +654,16 @@ mod tests {
         v
     }
 
-    fn dirty(n: u64) -> Vec<DirtyBuffer> {
+    fn dirty(n: u64) -> Arc<[DirtyBuffer]> {
         (0..n)
             .map(|fbn| DirtyBuffer::first_write(fbn, wafl_blockdev::stamp(1, fbn, 1)))
             .collect()
+    }
+
+    fn clean_all(pool: &CleanerPool, items: Vec<CleanItem>) -> Vec<CleanResult> {
+        let mut out = Vec::new();
+        pool.clean(items, |r| out.push(r));
+        out
     }
 
     #[test]
@@ -639,8 +678,31 @@ mod tests {
         let items = partition_work(vec![(v, FileId(1), dirty(11))], &cfg);
         assert_eq!(items.len(), 3, "11 buffers → regions of 4+4+3");
         assert!(items.iter().all(|i| i.jobs.len() == 1));
-        let sizes: Vec<usize> = items.iter().map(|i| i.jobs[0].buffers.len()).collect();
+        let sizes: Vec<usize> = items.iter().map(|i| i.jobs[0].buffers().len()).collect();
         assert_eq!(sizes, vec![4, 4, 3]);
+    }
+
+    #[test]
+    fn regions_of_a_large_inode_are_ranges_of_one_shared_slice() {
+        let cfg = CleanerConfig::default();
+        let n: usize = 64 * 1024;
+        let frozen = dirty(n as u64);
+        let v = vol();
+        let items = partition_work(vec![(v, FileId(1), Arc::clone(&frozen))], &cfg);
+        assert_eq!(items.len(), n.div_ceil(cfg.region_size));
+        let mut next = 0;
+        for item in &items {
+            assert_eq!(item.jobs.len(), 1, "a region is a message of its own");
+            let job = &item.jobs[0];
+            assert!(
+                Arc::ptr_eq(&job.frozen, &frozen),
+                "no region copies buffers"
+            );
+            assert_eq!(job.range.start, next, "regions tile the slice in order");
+            assert!(!job.range.is_empty() && job.range.len() <= cfg.region_size);
+            next = job.range.end;
+        }
+        assert_eq!(next, n, "regions cover every buffer");
     }
 
     #[test]
@@ -712,11 +774,7 @@ mod tests {
         let v = vol();
         let mut ctx = CleanerCtx::new(0, 4);
         let mut stage = alloc.new_stage();
-        let job = CleanJob {
-            vol: Arc::clone(&v),
-            file: FileId(1),
-            buffers: dirty(8),
-        };
+        let job = CleanJob::whole(Arc::clone(&v), FileId(1), dirty(8));
         let r = clean_job(&alloc, &mut ctx, &mut stage, &job, 16).unwrap();
         assert_eq!(r.cleaned.len(), 8);
         for w in r.cleaned.windows(2) {
@@ -727,22 +785,17 @@ mod tests {
             );
         }
         // Overwrite pass: frees must be staged.
-        let over: Vec<DirtyBuffer> = r
+        let over: Arc<[DirtyBuffer]> = r
             .cleaned
             .iter()
             .map(|c| DirtyBuffer::overwrite(c.fbn, c.stamp + 1, c.vvbn, c.pvbn))
             .collect();
-        let job2 = CleanJob {
-            vol: v,
-            file: FileId(1),
-            buffers: over,
-        };
+        let job2 = CleanJob::whole(v, FileId(1), over);
         let r2 = clean_job(&alloc, &mut ctx, &mut stage, &job2, 16).unwrap();
         assert_eq!(r2.cleaned.len(), 8);
         assert_eq!(stage.len(), 8, "8 old PVBNs staged for freeing");
         ctx.finish(&alloc);
         alloc.flush_stage(&mut stage);
-        alloc.drain();
         alloc.infra().aggmap().verify().unwrap();
     }
 
@@ -770,11 +823,7 @@ mod tests {
         // instead of the empty-cache stall path, which hands out a
         // single bucket.
         alloc.request_refill();
-        let job = CleanJob {
-            vol: Arc::clone(&v),
-            file: FileId(1),
-            buffers: dirty(8),
-        };
+        let job = CleanJob::whole(Arc::clone(&v), FileId(1), dirty(8));
         clean_job(&alloc, &mut ctx, &mut stage, &job, 16).unwrap();
         let s = alloc.stats();
         assert!(
@@ -793,8 +842,44 @@ mod tests {
         );
         alloc.flush_stage(&mut stage);
         alloc.flush_cache();
-        alloc.drain();
         alloc.infra().aggmap().verify().unwrap();
+        alloc.stats().check_conservation(0).unwrap();
+    }
+
+    #[test]
+    fn small_cp_on_two_raid_groups_writes_only_full_stripes() {
+        // 2 RAID groups × 3 data drives, one cache shard per drive: a
+        // refill round deposits one 64-block bucket per drive, and a
+        // 192-block CP uses three of them. Cleaner 1 homes on drive 1
+        // (group 0); its equal-fill steals must stay in group 0, or the
+        // CP leaves a partial stripe in each group.
+        let geo = Arc::new(
+            GeometryBuilder::new()
+                .aa_stripes(64)
+                .raid_group(3, 1, 4096)
+                .raid_group(3, 1, 4096)
+                .build(),
+        );
+        let aggmap = Arc::new(AggregateMap::new(Arc::clone(&geo)));
+        let io = Arc::new(IoEngine::new(geo, DriveKind::Ssd));
+        let topo = Arc::new(Topology::symmetric(Model::Hierarchical, 1, 1, 4, 4));
+        let alloc = Allocator::new(
+            AllocConfig::with_chunk(64),
+            aggmap,
+            Arc::clone(&io),
+            Arc::new(InlineExecutor),
+            topo,
+            0,
+        );
+        let mut ctx = CleanerCtx::new(1, CleanerConfig::default().get_batch);
+        let mut stage = alloc.new_stage();
+        let job = CleanJob::whole(vol(), FileId(1), dirty(192));
+        clean_job(&alloc, &mut ctx, &mut stage, &job, 64).unwrap();
+        ctx.finish(&alloc);
+        alloc.flush_stage(&mut stage);
+        // The CP-end flush: unused buckets complete their tetrises.
+        alloc.flush_cache();
+        assert_eq!(io.full_stripe_ratio(), Some(1.0), "only full stripes");
         alloc.stats().check_conservation(0).unwrap();
     }
 
@@ -832,7 +917,6 @@ mod tests {
         );
         assert!(alloc.stats().cache_batch_grows >= 1);
         alloc.flush_cache();
-        alloc.drain();
         alloc.stats().check_conservation(0).unwrap();
     }
 
@@ -856,7 +940,6 @@ mod tests {
         assert!(alloc.stats().cache_batch_shrinks >= 1);
         alloc.requeue_bucket(held);
         alloc.flush_cache();
-        alloc.drain();
         alloc.stats().check_conservation(0).unwrap();
     }
 
@@ -877,7 +960,7 @@ mod tests {
             })
             .collect();
         let items = partition_work(frozen, &cfg);
-        let results = pool.clean_all(items);
+        let results = clean_all(&pool, items);
         assert_eq!(results.len(), 20);
         let mut all: Vec<u64> = results
             .iter()
@@ -889,7 +972,6 @@ mod tests {
         all.dedup();
         assert_eq!(all.len(), n, "no pvbn assigned twice");
         pool.shutdown();
-        alloc.drain();
     }
 
     #[test]
@@ -904,7 +986,7 @@ mod tests {
         pool.set_active_limit(1);
         assert_eq!(pool.active_limit(), 1);
         let items = partition_work(vec![(v, FileId(1), dirty(100))], &cfg);
-        let results = pool.clean_all(items);
+        let results = clean_all(&pool, items);
         let total: usize = results.iter().map(|r| r.cleaned.len()).sum();
         assert_eq!(total, 100);
         pool.set_active_limit(4);
@@ -922,7 +1004,7 @@ mod tests {
         let pool = CleanerPool::new(Arc::clone(&alloc), cfg);
         v.create_file(FileId(900));
         let items = partition_work(vec![(v, FileId(900), dirty(32))], &cfg);
-        pool.clean_all(items);
+        clean_all(&pool, items);
         let text = pool.metrics_text();
         // Every allocator counter must appear (the `named()` guarantee),
         // alongside the pool's own counters.
@@ -951,6 +1033,5 @@ mod tests {
         }
         assert!(text.contains("gauge io_drives_offline "), "{text}");
         pool.shutdown();
-        alloc.drain();
     }
 }

@@ -12,12 +12,16 @@
 //! The phases implemented by [`run_cp`]:
 //!
 //! 1. **freeze** — swap the NVLog halves and atomically take every dirty
-//!    inode's CP workload (in-memory COW boundary);
-//! 2. **clean** — partition into cleaner messages (region split +
-//!    batching) and run them on the [`CleanerPool`];
-//! 3. **apply** — install cleaned block locations into the inodes
-//!    (copying each block-map leaf the committed image still shares,
-//!    once), then drop the frozen buffers reads fell back on;
+//!    inode's CP workload (in-memory COW boundary) as one fbn-sorted
+//!    slice per inode, shared with the inode's read path;
+//! 2. **clean and apply** — partition into cleaner messages (region
+//!    split into index ranges of the slice + batching) and run them on
+//!    the [`CleanerPool`]; the CP thread installs each result's block
+//!    locations in its inode as it arrives (copying each block-map leaf
+//!    the committed image still shares, once), while the cleaners keep
+//!    working;
+//! 3. **end** — drop the frozen slices reads fell back on and flush
+//!    the bucket cache, which completes every partially filled tetris;
 //! 4. **metafile flush** — the allocation metafiles dirtied by this CP's
 //!    commits and frees are themselves write-allocated and written, to a
 //!    bounded fix-point ("any metafile updates made on behalf of a CP
@@ -168,10 +172,13 @@ impl SuperblockStore {
 pub enum CrashPoint {
     /// After the NVLog/inode freeze, before any cleaning.
     AfterFreeze,
-    /// After cleaner messages ran (data blocks may be on media).
+    /// After cleaner messages ran and their locations were applied to
+    /// the inodes in memory (data blocks may be on media), nothing
+    /// committed: block-map leaves are copy-on-write, so the committed
+    /// image still holds the pre-CP maps.
     AfterClean,
-    /// After cleaned locations were installed in the inodes and the
-    /// in-flight tetrises were completed.
+    /// After the frozen slices were dropped and the in-flight tetrises
+    /// were completed.
     AfterApply,
     /// After the metafile fix-point flush — one step short of the
     /// superblock commit.
@@ -208,10 +215,11 @@ pub struct CpReport {
     /// Phase 1 wall time (NVLog/inode freeze).
     pub freeze_ns: u64,
     /// Phase 2 wall time (cleaner fan-out, tetris stripe fill,
-    /// async-write submission).
+    /// async-write submission, and installing each result's locations
+    /// as it arrives).
     pub clean_ns: u64,
-    /// Phase 3 wall time (install cleaned locations, complete
-    /// in-flight tetrises).
+    /// Phase 3 wall time (drop the frozen slices, complete in-flight
+    /// tetrises).
     pub apply_ns: u64,
     /// Phase 4 wall time (metafile fix-point flush).
     pub metafile_ns: u64,
@@ -380,14 +388,23 @@ fn run_cp_inner(
         return None;
     }
 
-    // Phase 2: clean. With an async engine attached, each completed
-    // tetris is only *submitted* here — its media write overlaps the
-    // cleaning (and parity computation) of the stripes after it.
+    // Phase 2: clean and apply. Each result is installed in its inode
+    // the moment it arrives, while the cleaners go on with the rest
+    // (the first time apply writes into a block-map leaf the committed
+    // image shares, it copies the leaf). With an async engine attached,
+    // each completed tetris is only *submitted* here — its media write
+    // overlaps the cleaning (and parity computation) of the stripes
+    // after it.
     let t0 = std::time::Instant::now();
     let sp2 = obs::trace_span!(obs::EventKind::CpPhase, 2);
     let items = partition_work(frozen, &cfg.cleaner);
     report.cleaner_messages = items.len();
-    let results = pool.clean_all(items);
+    let by_vol: BTreeMap<VolumeId, &Arc<Volume>> = volumes.iter().map(|v| (v.id(), v)).collect();
+    pool.clean(items, |r| {
+        if let Some(inode) = by_vol[&r.vol].inode(r.file) {
+            inode.lock().apply_cleaned(&r.cleaned);
+        }
+    });
     // Keep the completion ring shallow; errors are accounted per
     // completion here, not per submission.
     alloc.infra().harvest_io();
@@ -400,18 +417,11 @@ fn run_cp_inner(
         return None;
     }
 
-    // Phase 3: apply cleaned locations.
+    // Phase 3: end the CP's in-memory part.
     let t0 = std::time::Instant::now();
     let sp3 = obs::trace_span!(obs::EventKind::CpPhase, 3);
-    let by_vol: BTreeMap<VolumeId, &Arc<Volume>> = volumes.iter().map(|v| (v.id(), v)).collect();
-    for r in &results {
-        let vol = by_vol[&r.vol];
-        if let Some(inode) = vol.inode(r.file) {
-            inode.lock().apply_cleaned(&r.cleaned);
-        }
-    }
     // Every frozen buffer is in its block map now; reads stop looking
-    // at the CP's copy.
+    // at the CP's slice.
     for (v, f) in &frozen_files {
         if let Some(inode) = v.inode(*f) {
             inode.lock().end_cp();

@@ -274,8 +274,11 @@ impl Filesystem {
     /// Client write: acknowledge after dirtying in memory and logging to
     /// NVRAM (§II-C's fast-reply path).
     pub fn write(&self, vol: VolumeId, file: FileId, fbn: u64, stamp: BlockStamp) {
-        let v = self.volume(vol).expect("volume exists");
-        v.write(file, fbn, stamp);
+        self.volumes
+            .read()
+            .get(&vol)
+            .expect("volume exists")
+            .write(file, fbn, stamp);
         self.nvlog.log(Op::Write {
             vol,
             file,
@@ -489,9 +492,15 @@ impl Filesystem {
     /// Simulate a crash: drop all in-memory state and recover from the
     /// committed superblock image plus an NVRAM log replay. The simulated
     /// media (drives) are shared — they are the persistent state.
+    ///
+    /// The crash may strike while a CP runs. The log is read before the
+    /// image: a CP that commits in between then only makes the image
+    /// newer, and replaying the log's ops in order over it still ends at
+    /// every op's value. Read the other way round, such a CP would
+    /// discard ops that the older image does not hold.
     pub fn crash_and_recover(&self, exec: ExecMode) -> Filesystem {
-        let image = self.sb.load();
         let ops = self.nvlog.replay_ops();
+        let image = self.sb.load();
         Self::recover(self.cfg, Arc::clone(&self.io), image.as_deref(), &ops, exec)
     }
 

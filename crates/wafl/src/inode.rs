@@ -14,14 +14,20 @@
 //! start, so writes that arrive during the CP dirty the (new, empty)
 //! front map and are persisted by the *next* CP — exactly the paper's
 //! semantics, with the copy made eagerly at the snapshot boundary instead
-//! of lazily per object. The frozen buffers stay readable until the CP's
-//! apply phase has installed them ([`Inode::end_cp`]), so a read during
-//! a CP never falls back to the pre-CP block.
+//! of lazily per object.
+//!
+//! The snapshot is **one** fbn-sorted `Arc<[DirtyBuffer]>`, made once per
+//! inode per CP. Every cleaner job of the inode holds a clone and cleans
+//! an index range of it, and the inode keeps a clone as its read-side
+//! frozen set: a read during a CP finds the CP's buffer by binary search
+//! and never falls back to the pre-CP block. [`Inode::end_cp`] drops the
+//! inode's clone once the CP has installed every buffer in the block map.
 
 use crate::blockmap::BlockMap;
 use crate::buffer::{CleanedBlock, DirtyBuffer};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use wafl_blockdev::{BlockStamp, Vbn};
 
 /// File identifier, unique within a volume.
@@ -40,7 +46,7 @@ pub struct BlockPtr {
 }
 
 /// An in-memory inode: attributes, block map, and dirty buffers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Inode {
     id: FileId,
     /// Persistent block map: fbn → current on-disk location. Updated only
@@ -48,9 +54,9 @@ pub struct Inode {
     block_map: BlockMap,
     /// Front dirty buffers: modified since the last CP freeze.
     front: BTreeMap<u64, DirtyBuffer>,
-    /// `(fbn, stamp)` of the in-flight CP's buffers, sorted by fbn, kept
-    /// for reads until its apply ends.
-    frozen: Vec<(u64, BlockStamp)>,
+    /// The in-flight CP's buffers, sorted by fbn: the slice its cleaner
+    /// jobs index, kept for reads until the CP has applied them.
+    frozen: Arc<[DirtyBuffer]>,
     /// Highest fbn ever written + 1 (a simple size proxy).
     size_fbns: u64,
 }
@@ -62,7 +68,7 @@ impl Inode {
             id,
             block_map: BlockMap::new(),
             front: BTreeMap::new(),
-            frozen: Vec::new(),
+            frozen: Arc::new([]),
             size_fbns: 0,
         }
     }
@@ -107,7 +113,11 @@ impl Inode {
     /// previous location for the overwrite-free path. Re-dirtying a block
     /// already dirty in the front map just replaces the payload (the old
     /// location was captured by the first dirtying).
-    pub fn write(&mut self, fbn: u64, stamp: BlockStamp) {
+    ///
+    /// Returns `true` when this write took the inode from clean to dirty:
+    /// only then does it need to join the volume's dirty list.
+    pub fn write(&mut self, fbn: u64, stamp: BlockStamp) -> bool {
+        let was_clean = self.front.is_empty();
         self.size_fbns = self.size_fbns.max(fbn + 1);
         match self.front.get_mut(&fbn) {
             Some(existing) => existing.stamp = stamp,
@@ -119,6 +129,7 @@ impl Inode {
                 self.front.insert(fbn, buf);
             }
         }
+        was_clean
     }
 
     /// Read the current logical contents of `fbn`: dirty front data wins
@@ -128,8 +139,8 @@ impl Inode {
         if let Some(b) = self.front.get(&fbn) {
             return Some(b.stamp);
         }
-        if let Ok(i) = self.frozen.binary_search_by_key(&fbn, |&(f, _)| f) {
-            return Some(self.frozen[i].1);
+        if let Ok(i) = self.frozen.binary_search_by_key(&fbn, |b| b.fbn) {
+            return Some(self.frozen[i].stamp);
         }
         self.block_map.get(fbn).map(|p| p.stamp)
     }
@@ -143,10 +154,14 @@ impl Inode {
     /// `(fbn, vvbn, pvbn)` for each committed block beyond the new size;
     /// the caller frees them through the allocator's stage path (unless a
     /// snapshot still references them). Dirty front buffers beyond the
-    /// size are simply dropped (they were never allocated).
+    /// size are simply dropped (they were never allocated), and reads
+    /// stop seeing an in-flight CP's buffers beyond it.
     pub fn truncate(&mut self, new_size_fbns: u64) -> Vec<(u64, u64, Vbn)> {
         self.front.retain(|&fbn, _| fbn < new_size_fbns);
-        self.frozen.retain(|&(fbn, _)| fbn < new_size_fbns);
+        let keep = self.frozen.partition_point(|b| b.fbn < new_size_fbns);
+        if keep < self.frozen.len() {
+            self.frozen = Arc::from(&self.frozen[..keep]);
+        }
         let freed = self
             .block_map
             .split_off(new_size_fbns)
@@ -157,19 +172,36 @@ impl Inode {
         freed
     }
 
-    /// CP start: take the front dirty buffers as this CP's workload. New
-    /// writes after this call land in a fresh front map (in-memory COW);
-    /// reads keep seeing the taken buffers until [`Inode::end_cp`].
-    pub fn freeze_for_cp(&mut self) -> Vec<DirtyBuffer> {
-        let buffers: Vec<DirtyBuffer> = std::mem::take(&mut self.front).into_values().collect();
-        self.frozen = buffers.iter().map(|b| (b.fbn, b.stamp)).collect();
-        buffers
+    /// CP start: take the front dirty buffers as this CP's workload, as
+    /// one fbn-sorted slice shared with the read path. New writes after
+    /// this call land in a fresh front map (in-memory COW); reads keep
+    /// seeing the taken buffers until [`Inode::end_cp`].
+    pub fn freeze_for_cp(&mut self) -> Arc<[DirtyBuffer]> {
+        self.freeze_for_cp_with(|_| {})
+    }
+
+    /// [`Inode::freeze_for_cp`], running `fix` on each buffer before the
+    /// slice is shared (the volume's snapshot fix-up of old locations).
+    pub(crate) fn freeze_for_cp_with(
+        &mut self,
+        mut fix: impl FnMut(&mut DirtyBuffer),
+    ) -> Arc<[DirtyBuffer]> {
+        // Collected straight into the slice: converting a `Vec` would
+        // allocate and fill a second copy while the inode is locked.
+        self.frozen = std::mem::take(&mut self.front)
+            .into_values()
+            .map(|mut b| {
+                fix(&mut b);
+                b
+            })
+            .collect();
+        Arc::clone(&self.frozen)
     }
 
     /// CP apply has ended: the persistent map now holds every buffer
-    /// [`Inode::freeze_for_cp`] took, so drop the read-side copy.
+    /// [`Inode::freeze_for_cp`] took, so drop the read-side clone.
     pub(crate) fn end_cp(&mut self) {
-        self.frozen = Vec::new();
+        self.frozen = Arc::new([]);
     }
 
     /// CP apply: install cleaned locations into the persistent block map.
@@ -226,6 +258,24 @@ mod tests {
         assert_eq!(frozen.len(), 1);
         assert_eq!(frozen[0].stamp, 0xcc);
         assert_eq!(frozen[0].old_pvbn, Some(Vbn(100)), "old loc captured once");
+    }
+
+    #[test]
+    fn write_reports_each_clean_to_dirty_transition() {
+        let mut i = Inode::new(FileId(1));
+        assert!(i.write(0, 0x1), "first write dirties a clean inode");
+        assert!(!i.write(1, 0x2));
+        assert!(!i.write(0, 0x3), "re-dirtying a dirty block");
+        let _cp = i.freeze_for_cp();
+        assert!(i.write(0, 0x4), "first write after a freeze dirties again");
+        assert!(!i.write(2, 0x5));
+        let _cp = i.freeze_for_cp();
+        assert!(i.write(7, 0x6), "and after every freeze");
+        i.truncate(0);
+        assert!(
+            i.write(0, 0x7),
+            "a truncate that drops every dirty block cleans it"
+        );
     }
 
     #[test]

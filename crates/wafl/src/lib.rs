@@ -75,5 +75,5 @@ pub use scrub::{
 pub use snapshot::{Snapshot, SnapshotSet};
 pub use system::StorageSystem;
 pub use tuner::{DynamicTuner, TunerConfig};
-pub use volume::{Volume, VolumeId};
+pub use volume::{InodeCell, Volume, VolumeId};
 pub use vvbn::VvbnSpace;

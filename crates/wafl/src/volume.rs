@@ -10,7 +10,7 @@ use crate::buffer::DirtyBuffer;
 use crate::inode::{FileId, Inode};
 use crate::snapshot::{Snapshot, SnapshotSet};
 use crate::vvbn::VvbnSpace;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -20,16 +20,39 @@ use wafl_blockdev::BlockStamp;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct VolumeId(pub u32);
 
+/// One file's in-memory inode behind its own mutex: the lock client
+/// writes, reads and truncates take, and so does every CP phase that
+/// touches the file.
+#[derive(Debug)]
+pub struct InodeCell {
+    inode: Mutex<Inode>, // lock-rank: volume.inode 16
+}
+
+impl InodeCell {
+    fn new(file: FileId) -> Self {
+        Self {
+            inode: Mutex::new(Inode::new(file)),
+        }
+    }
+
+    /// Lock the inode.
+    #[inline]
+    pub fn lock(&self) -> MutexGuard<'_, Inode> {
+        self.inode.lock()
+    }
+}
+
 /// A FlexVol volume: inodes + VVBN space + dirty-inode list.
 pub struct Volume {
     id: VolumeId,
     /// Aggregate index in the Waffinity topology housing this volume.
     aggr: u32,
-    inodes: RwLock<BTreeMap<FileId, Arc<Mutex<Inode>>>>, // lock-rank: volume.inodes 15
+    inodes: RwLock<BTreeMap<FileId, Arc<InodeCell>>>, // lock-rank: volume.inodes 15
     vvbn: VvbnSpace,
     /// "a list of dirty inodes to process in the next consistency point"
     /// (§II-C). A set: an inode appears once however many blocks dirty.
-    dirty: Mutex<BTreeSet<FileId>>, // lock-rank: volume.dirty 16
+    /// An inode joins it when a write takes it from clean to dirty.
+    dirty: Mutex<BTreeSet<FileId>>, // lock-rank: volume.dirty 17
     /// Retained point-in-time images (see [`crate::snapshot`]).
     snapshots: SnapshotSet,
 }
@@ -71,7 +94,7 @@ impl Volume {
         if inodes.contains_key(&file) {
             return false;
         }
-        inodes.insert(file, Arc::new(Mutex::new(Inode::new(file))));
+        inodes.insert(file, Arc::new(InodeCell::new(file)));
         true
     }
 
@@ -86,20 +109,30 @@ impl Volume {
     }
 
     /// Handle to an inode.
-    pub fn inode(&self, file: FileId) -> Option<Arc<Mutex<Inode>>> {
+    pub fn inode(&self, file: FileId) -> Option<Arc<InodeCell>> {
         self.inodes.read().get(&file).cloned()
     }
 
-    /// Client write: dirty the block and add the inode to the dirty list.
+    /// Client write: dirty the block, and list the inode as dirty if this
+    /// write made it so.
+    ///
+    /// The insert happens under the inode lock. A second writer that
+    /// finds the front map non-empty skips the insert, so by then the
+    /// inode must be listed (or taken by a CP that will freeze it);
+    /// otherwise a CP could commit, and discard that writer's NVLog
+    /// half, without ever seeing the inode.
     ///
     /// # Panics
     /// Panics if the file does not exist (callers route creates first).
     pub fn write(&self, file: FileId, fbn: u64, stamp: BlockStamp) {
-        let inode = self
-            .inode(file)
+        let inodes = self.inodes.read();
+        let inode = inodes
+            .get(&file)
             .unwrap_or_else(|| panic!("write to missing file {file:?}"));
-        inode.lock().write(fbn, stamp);
-        self.dirty.lock().insert(file);
+        let mut ino = inode.lock();
+        if ino.write(fbn, stamp) {
+            self.dirty.lock().insert(file);
+        }
     }
 
     /// Client read of current logical contents (dirty data wins).
@@ -118,7 +151,15 @@ impl Volume {
         new_size_fbns: u64,
     ) -> Option<Vec<wafl_blockdev::Vbn>> {
         let inode = self.inode(file)?;
-        let freed = inode.lock().truncate(new_size_fbns);
+        let mut ino = inode.lock();
+        let freed = ino.truncate(new_size_fbns);
+        // The inode may have gone clean (all dirty buffers beyond size).
+        // Delist it under the inode lock, so a write that re-dirties it
+        // lists it again after this removal.
+        if !ino.is_dirty() {
+            self.dirty.lock().remove(&file);
+        }
+        drop(ino);
         let mut pvbns = Vec::with_capacity(freed.len());
         for (fbn, vvbn, pvbn) in freed {
             if self.snapshots.any_references(file, fbn, pvbn) {
@@ -126,12 +167,6 @@ impl Volume {
             }
             self.vvbn.free(vvbn);
             pvbns.push(pvbn);
-        }
-        // The inode may have gone clean (all dirty buffers beyond size).
-        if let Some(i) = self.inode(file) {
-            if !i.lock().is_dirty() {
-                self.dirty.lock().remove(&file);
-            }
         }
         Some(pvbns)
     }
@@ -151,32 +186,36 @@ impl Volume {
     }
 
     /// CP freeze: atomically take the dirty-inode list and each inode's
-    /// dirty buffers. New writes dirty inodes for the *next* CP.
+    /// dirty buffers, as one fbn-sorted slice per inode (shared with the
+    /// inode's read path). New writes dirty inodes for the *next* CP.
     ///
     /// Overwrite frees of blocks still referenced by a snapshot are
-    /// suppressed here: the old block transfers to the snapshot instead
-    /// of returning to the free pool.
-    pub fn freeze_for_cp(&self) -> Vec<(FileId, Vec<DirtyBuffer>)> {
-        let ids: Vec<FileId> = std::mem::take(&mut *self.dirty.lock())
-            .into_iter()
-            .collect();
+    /// suppressed here, before the slice is shared: the old block
+    /// transfers to the snapshot instead of returning to the free pool.
+    pub fn freeze_for_cp(&self) -> Vec<(FileId, Arc<[DirtyBuffer]>)> {
+        let ids = {
+            let mut dirty = self.dirty.lock();
+            std::mem::take(&mut *dirty)
+        };
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
-            if let Some(inode) = self.inode(id) {
-                let mut buffers = inode.lock().freeze_for_cp();
-                if !self.snapshots.is_empty() {
-                    for b in &mut buffers {
-                        if let Some(old) = b.old_pvbn {
-                            if self.snapshots.any_references(id, b.fbn, old) {
-                                b.old_pvbn = None;
-                                b.old_vvbn = None;
-                            }
+            let Some(inode) = self.inode(id) else {
+                continue;
+            };
+            let buffers = if self.snapshots.is_empty() {
+                inode.lock().freeze_for_cp()
+            } else {
+                inode.lock().freeze_for_cp_with(|b| {
+                    if let Some(old) = b.old_pvbn {
+                        if self.snapshots.any_references(id, b.fbn, old) {
+                            b.old_pvbn = None;
+                            b.old_vvbn = None;
                         }
                     }
-                }
-                if !buffers.is_empty() {
-                    out.push((id, buffers));
-                }
+                })
+            };
+            if !buffers.is_empty() {
+                out.push((id, buffers));
             }
         }
         out
@@ -224,7 +263,7 @@ impl Volume {
             // Still live in the active file system?
             let active = self
                 .inode(file)
-                .and_then(|i| i.lock().lookup(fbn))
+                .and_then(|inode| inode.lock().lookup(fbn))
                 .map(|p| p.pvbn == ptr.pvbn)
                 .unwrap_or(false);
             if active {

@@ -152,6 +152,24 @@ fn reads_during_a_cp_see_its_frozen_buffers() {
 }
 
 #[test]
+fn truncate_during_a_cp_hides_its_frozen_blocks_beyond_the_size() {
+    let (vol, file) = (VolumeId(0), FileId(1));
+    let f = fs();
+    f.create_volume(vol);
+    f.create_file(vol, file);
+    for fbn in 0..4 {
+        f.write(vol, file, fbn, stamp(1, fbn, 1));
+    }
+    // The crash stops the CP after its freeze, with the frozen slice
+    // still the inode's read-side set.
+    f.run_cp_crash_at(CrashPoint::AfterFreeze);
+    assert!(f.truncate(vol, file, 2));
+    assert_eq!(f.read(vol, file, 1), Some(stamp(1, 1, 1)));
+    assert_eq!(f.read(vol, file, 2), None, "frozen block beyond the size");
+    assert_eq!(f.read(vol, file, 3), None, "frozen block beyond the size");
+}
+
+#[test]
 fn superblock_image_contains_every_committed_file() {
     let f = fs();
     f.create_volume(VolumeId(0));

@@ -86,7 +86,7 @@ proptest! {
         fbns.dedup();
         prop_assert_eq!(fbns.len(), before, "one dirty buffer per block");
         // The frozen stamp is the last write to that block.
-        for b in &frozen {
+        for b in frozen.iter() {
             let last = writes
                 .iter()
                 .rev()
@@ -176,7 +176,7 @@ proptest! {
             ..CleanerConfig::default()
         };
         let vol = Volume::new(VolumeId(0), 0, 1 << 20);
-        let frozen: Vec<(Arc<Volume>, FileId, Vec<DirtyBuffer>)> = sizes
+        let frozen: Vec<(Arc<Volume>, FileId, Arc<[DirtyBuffer]>)> = sizes
             .iter()
             .enumerate()
             .map(|(i, &n)| {
@@ -189,32 +189,44 @@ proptest! {
             })
             .collect();
         let total: usize = sizes.iter().sum();
+        let slices: Vec<Arc<[DirtyBuffer]>> =
+            frozen.iter().map(|(_, _, b)| Arc::clone(b)).collect();
         let items = partition_work(frozen, &cfg);
-        // Totality: every buffer appears in exactly one job.
+        // Totality: every buffer appears in exactly one job — each
+        // inode's jobs tile its slice in order, and share it.
         let got: usize = items
             .iter()
             .flat_map(|i| i.jobs.iter())
-            .map(|j| j.buffers.len())
+            .map(|j| j.buffers().len())
             .sum();
         prop_assert_eq!(got, total);
+        let mut next = vec![0usize; sizes.len()];
+        for job in items.iter().flat_map(|i| i.jobs.iter()) {
+            let f = job.file.0 as usize;
+            prop_assert!(Arc::ptr_eq(&job.frozen, &slices[f]), "jobs share the slice");
+            prop_assert_eq!(job.range.start, next[f], "ranges tile the slice in order");
+            prop_assert!(!job.range.is_empty());
+            next[f] = job.range.end;
+        }
+        prop_assert_eq!(next, sizes.clone());
         for item in &items {
             prop_assert!(!item.jobs.is_empty());
             if item.jobs.len() > 1 {
                 prop_assert!(batching, "multi-job items only when batching");
                 prop_assert!(item.jobs.len() <= batch_max_inodes);
-                let bufs: usize = item.jobs.iter().map(|j| j.buffers.len()).sum();
+                let bufs: usize = item.jobs.iter().map(|j| j.buffers().len()).sum();
                 // The first job may alone exceed the budget; otherwise the
                 // budget holds.
                 prop_assert!(
                     bufs <= batch_max_buffers
-                        || item.jobs[0].buffers.len() > batch_max_buffers,
+                        || item.jobs[0].buffers().len() > batch_max_buffers,
                     "batch buffer budget respected"
                 );
             }
             for job in &item.jobs {
                 // Regions never exceed region_size for split inodes.
                 if sizes[job.file.0 as usize] > 256 {
-                    prop_assert!(job.buffers.len() <= region_size);
+                    prop_assert!(job.buffers().len() <= region_size);
                 }
             }
         }

@@ -2,8 +2,11 @@
 //! Waffinity pool with multiple cleaner threads. Validates the MP-safety
 //! invariants of DESIGN.md §8 under genuine interleaving.
 
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha12Rng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use wafl::{ExecMode, FileId, Filesystem, FsConfig, VolumeId};
 use wafl_blockdev::{stamp, DriveKind, GeometryBuilder};
 
@@ -129,6 +132,78 @@ fn writes_racing_a_cp_are_never_lost() {
         );
     }
     fs.verify_integrity().unwrap();
+}
+
+/// Two clients write one file while CPs run back to back, and the system
+/// crashes at a random instant. A write lists its inode as dirty only
+/// when it takes the inode from clean to dirty, so the listing must
+/// happen under the inode lock: otherwise the other client can find the
+/// inode dirty, skip the listing, and log into an NVLog half that a CP
+/// which never saw the inode then discards.
+#[test]
+fn acked_writes_to_a_shared_file_survive_a_crash_mid_cp() {
+    const WRITERS: u64 = 2;
+    const BLOCKS: u64 = 16; // per writer, disjoint
+    const CRASHES: u64 = 6;
+    let (vol, file) = (VolumeId(0), FileId(1));
+    let mut rng = ChaCha12Rng::seed_from_u64(0x5eed);
+    for crash in 0..CRASHES {
+        let fs = big_fs();
+        fs.create_volume(vol);
+        fs.create_file(vol, file);
+        let stop = Arc::new(AtomicBool::new(false));
+        // acked[fbn]: the last generation whose write to fbn returned.
+        let acked: Arc<Vec<AtomicU64>> =
+            Arc::new((0..WRITERS * BLOCKS).map(|_| AtomicU64::new(0)).collect());
+        let mut handles = Vec::new();
+        for w in 0..WRITERS {
+            let (fs, stop, acked) = (Arc::clone(&fs), Arc::clone(&stop), Arc::clone(&acked));
+            handles.push(std::thread::spawn(move || {
+                let mut generation = 1;
+                // ordering: shutdown flag; no data is published through it.
+                while !stop.load(Ordering::Relaxed) {
+                    for fbn in w * BLOCKS..(w + 1) * BLOCKS {
+                        fs.write(vol, file, fbn, stamp(file.0, fbn, generation));
+                        // ordering: Release — the acknowledged write (and
+                        // its NVLog entry) precedes the published
+                        // generation; pairs-with: test.acked.
+                        acked[fbn as usize].store(generation, Ordering::Release);
+                    }
+                    generation += 1;
+                }
+            }));
+        }
+        let (cp_fs, cp_stop) = (Arc::clone(&fs), Arc::clone(&stop));
+        handles.push(std::thread::spawn(move || {
+            // ordering: shutdown flag; no data is published through it.
+            while !cp_stop.load(Ordering::Relaxed) {
+                cp_fs.run_cp();
+            }
+        }));
+        std::thread::sleep(Duration::from_micros(rng.gen_range(500..20_000)));
+        // The crash: what was acknowledged by now must survive it.
+        let before: Vec<u64> = acked
+            .iter()
+            // ordering: Acquire — sees every write the generation covers;
+            // pairs-with: test.acked.
+            .map(|a| a.load(Ordering::Acquire))
+            .collect();
+        let r = fs.crash_and_recover(ExecMode::Inline);
+        // ordering: shutdown flag; no data is published through it.
+        stop.store(true, Ordering::Relaxed);
+        for h in handles {
+            h.join().unwrap();
+        }
+        for (fbn, (&want, last)) in (0..).zip(before.iter().zip(acked.iter())) {
+            // ordering: the writers have joined; a plain read.
+            let last = last.load(Ordering::Relaxed);
+            let got = r.read(vol, file, fbn);
+            assert!(
+                want == 0 || (want..=last).any(|g| got == Some(stamp(file.0, fbn, g))),
+                "crash {crash}: fbn {fbn} lost generation {want} (read {got:?})"
+            );
+        }
+    }
 }
 
 #[test]
